@@ -1,18 +1,13 @@
 //! Robustness bench for the execution-guard layer: demonstrates the
-//! three guarantees of [`supernpu::resilient::run_resilient`] on the
-//! real design-space sweeps and writes the evidence to
-//! `BENCH_robust.json`.
+//! two guarantees of [`supernpu::resilient::run_resilient`] (the
+//! driver of every design-space sweep) on the real sweeps and writes
+//! the evidence to `BENCH_robust.json`.
 //!
-//! 1. **Overhead** — with guards disabled
-//!    ([`ResilientOpts::unguarded`]) the resilient Fig. 20 sweep must
-//!    cost within 2% (plus a small absolute floor for scheduler
-//!    noise) of the plain `par_map_catch` sweep, and produce
-//!    bit-identical values.
-//! 2. **Zero silent loss under chaos** — with the chaos harness
+//! 1. **Zero silent loss under chaos** — with the chaos harness
 //!    injecting panics, forced timeouts and stalls into 3/16 of
 //!    `(task, attempt)` draws, every point of every sweep still ends
 //!    `Completed` or `Degraded` with a value; `lost()` is zero.
-//! 3. **Bit-identical resume** — a sweep cancelled mid-flight leaves
+//! 2. **Bit-identical resume** — a sweep cancelled mid-flight leaves
 //!    an atomic checkpoint whose resumed continuation reproduces the
 //!    uninterrupted run's values byte-for-byte.
 //!
@@ -20,15 +15,15 @@
 //! nonzero — but the report is written first, so the `bench_compare`
 //! gate can show exactly which check regressed.
 //!
-//! `--smoke` shrinks the run (single timing pass, Fig. 20 only) for
-//! the `scripts/check.sh --chaos` gate.
+//! `--smoke` shrinks the run (Fig. 20 only) for the
+//! `scripts/check.sh --chaos` gate.
 
 use std::time::{Duration, Instant};
 
 use serde::Serialize;
 use serde_json::Value;
 use sfq_guard::{chaos, CancelToken, RunBudget};
-use supernpu::explore::{fig20_buffer_sweep, fig20_buffer_sweep_resilient};
+use supernpu::explore::fig20_buffer_sweep_resilient;
 use supernpu::resilient::{ResilientOpts, SweepReport};
 use supernpu_bench::report::{die, to_json_pretty, write_report};
 
@@ -37,17 +32,6 @@ use supernpu_bench::report::{die, to_json_pretty, write_report};
 /// on every run.
 const CHAOS_SEED: u64 = 2024;
 
-/// Relative overhead budget for the unguarded resilient path.
-const MAX_OVERHEAD_FRAC: f64 = 0.02;
-
-/// Absolute floor added to the overhead budget: the Fig. 20 sweep is
-/// a couple of milliseconds, where scheduler noise alone exceeds 2%.
-const OVERHEAD_FLOOR_MS: f64 = 2.0;
-
-/// Iterations folded into one timing sample so the measured window is
-/// tens of milliseconds instead of ~2 ms.
-const OVERHEAD_REPS: usize = 10;
-
 fn json_of<T: Serialize>(what: &str, value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| die(format!("serialize {what}: {e}")))
 }
@@ -55,25 +39,6 @@ fn json_of<T: Serialize>(what: &str, value: &T) -> String {
 fn clear_caches() {
     sfq_estimator::clear_estimate_cache();
     sfq_chars::clear_measure_cache();
-}
-
-/// Best-of-`passes` wall clock of `reps` back-to-back runs (caches
-/// cleared before each rep so every rep pays the same cold cost).
-fn timed<R>(passes: usize, reps: usize, mut run: impl FnMut() -> R) -> (R, f64) {
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..passes {
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            clear_caches();
-            out = Some(run());
-        }
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
-    }
-    match out {
-        Some(r) => (r, best),
-        None => die("timed(): zero passes ran"),
-    }
 }
 
 /// One `"robust"` report entry from a sweep report, plus the
@@ -117,45 +82,10 @@ fn main() {
     let _session = supernpu_bench::session::begin("bench_robust");
     supernpu_bench::header("bench_robust", "execution-guard robustness gates");
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let passes = if smoke { 1 } else { 3 };
-    let reps = if smoke { 2 } else { OVERHEAD_REPS };
     let mut failures: Vec<String> = Vec::new();
     let mut entries: Vec<Value> = Vec::new();
 
-    // ------------------------------------------------ 1. overhead
-    // Plain sweep vs the unguarded resilient path. Warm-up first so
-    // lazy statics and page faults land outside both windows.
-    let _ = fig20_buffer_sweep();
-    let (plain_points, plain_ms) = timed(passes, reps, fig20_buffer_sweep);
-    let unguarded = ResilientOpts::unguarded();
-    let (guarded_report, guarded_ms) = timed(passes, reps, || resilient_fig20(&unguarded));
-    let values_match = json_of("plain fig20", &plain_points)
-        == json_of("guarded fig20", &guarded_report.clone().values());
-    let overhead_frac = (guarded_ms - plain_ms) / plain_ms;
-    let within_overhead = guarded_ms <= plain_ms * (1.0 + MAX_OVERHEAD_FRAC) + OVERHEAD_FLOOR_MS;
-    if !values_match {
-        failures.push("unguarded resilient sweep diverged from the plain sweep".into());
-    }
-    if !within_overhead {
-        failures.push(format!(
-            "guards-disabled overhead {:.1}% exceeds {:.0}% (+{OVERHEAD_FLOOR_MS} ms floor): \
-             plain {plain_ms:.2} ms vs guarded {guarded_ms:.2} ms",
-            overhead_frac * 100.0,
-            MAX_OVERHEAD_FRAC * 100.0,
-        ));
-    }
-    entries.push(sweep_entry(
-        "fig20_unguarded",
-        &guarded_report,
-        guarded_ms,
-        &mut failures,
-    ));
-    println!(
-        "overhead: plain {plain_ms:.2} ms, guarded {guarded_ms:.2} ms ({:+.1}%), identical: {values_match}",
-        overhead_frac * 100.0
-    );
-
-    // --------------------------------------------------- 2. chaos
+    // --------------------------------------------------- 1. chaos
     // Deterministic injected panics/timeouts/stalls; the ladder must
     // still label and value every point. The hook swap keeps the
     // injected panics from spraying backtraces over the report.
@@ -190,7 +120,7 @@ fn main() {
         chaos_fig20.lost()
     );
 
-    // ------------------------------------------------- 3. resume
+    // ------------------------------------------------- 2. resume
     // Reference run (uninterrupted), a cancelled run that leaves an
     // atomic checkpoint, and a resumed run that must reproduce the
     // reference byte-for-byte.
@@ -199,14 +129,22 @@ fn main() {
     let ckpt = dir.join("fig20.ckpt.json");
 
     clear_caches();
+    let t0 = Instant::now();
     let reference = resilient_fig20(&ResilientOpts::unguarded());
+    let reference_ms = t0.elapsed().as_secs_f64() * 1e3;
+    entries.push(sweep_entry(
+        "fig20_unguarded",
+        &reference,
+        reference_ms,
+        &mut failures,
+    ));
     let reference_json = json_of("reference fig20", &reference.values());
 
     let token = CancelToken::new();
     let killer = {
         let token = token.clone();
         // Fire mid-sweep: roughly half of one uninterrupted pass.
-        let delay = Duration::from_secs_f64((plain_ms / reps as f64 / 2.0 / 1e3).max(5e-4));
+        let delay = Duration::from_secs_f64((reference_ms / 2.0 / 1e3).max(5e-4));
         std::thread::spawn(move || {
             std::thread::sleep(delay);
             token.cancel();
@@ -256,17 +194,6 @@ fn main() {
         ),
         ("robust".into(), Value::Array(entries)),
         ("chaos_seed".into(), Value::U64(CHAOS_SEED)),
-        (
-            "overhead".into(),
-            Value::Object(vec![
-                ("plain_ms".into(), Value::F64(plain_ms)),
-                ("guarded_ms".into(), Value::F64(guarded_ms)),
-                ("overhead_frac".into(), Value::F64(overhead_frac)),
-                ("max_overhead_frac".into(), Value::F64(MAX_OVERHEAD_FRAC)),
-                ("within_overhead".into(), Value::Bool(within_overhead)),
-                ("values_match".into(), Value::Bool(values_match)),
-            ]),
-        ),
         (
             "resume".into(),
             Value::Object(vec![

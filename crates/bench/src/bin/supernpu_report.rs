@@ -1,6 +1,7 @@
 //! The observatory CLI: aggregate the run ledger and the committed
-//! `BENCH_*.json` baselines into `results/report.md` +
-//! `results/report.html`.
+//! `BENCH_*.json` baselines into `results/observatory.md` +
+//! `results/observatory.html` (apart from `full_report`'s
+//! `results/report.md`, so neither overwrites the other).
 //!
 //! ```text
 //! supernpu_report [--ledger results/ledger] [--out results] \
@@ -93,8 +94,8 @@ fn main() {
     }
 
     let report = build(&runs, &bench, &tol);
-    let md_path = out_dir.join("report.md");
-    let html_path = out_dir.join("report.html");
+    let md_path = out_dir.join("observatory.md");
+    let html_path = out_dir.join("observatory.html");
     if let Err(e) = write_report(&md_path, &report.markdown) {
         die(e);
     }

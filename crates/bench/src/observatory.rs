@@ -3,8 +3,8 @@
 //! [`build`] joins every [`RunManifest`] in a ledger by
 //! **(bin, config fingerprint)** — two runs land in the same trend
 //! group only when the same binary ran under the same
-//! workload-affecting configuration — and renders `report.md` plus a
-//! hand-rolled `report.html` (no new deps, same policy as the
+//! workload-affecting configuration — and renders `observatory.md` plus a
+//! hand-rolled `observatory.html` (no new deps, same policy as the
 //! Perfetto export) with:
 //!
 //! * per-benchmark trend tables (duration, Δ vs previous run, cache
@@ -73,9 +73,9 @@ impl BenchFile {
 /// The rendered observatory output.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
-    /// Markdown rendering (`results/report.md`).
+    /// Markdown rendering (`results/observatory.md`).
     pub markdown: String,
-    /// Hand-rolled HTML rendering (`results/report.html`).
+    /// Hand-rolled HTML rendering (`results/observatory.html`).
     pub html: String,
     /// Number of rows flagged `REGRESSION`.
     pub regressions: usize,

@@ -5,32 +5,13 @@ use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_estimator::{estimate, NpuConfig};
 use sfq_npu_sim::SimConfig;
-use sfq_par::{par_map_catch, par_map_catch_keyed};
 
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
+use crate::resilient::{
+    run_resilient, sweep_identity, unguarded_values, ResilientOpts, SweepError, SweepReport,
+};
 
 const MB: u64 = 1024 * 1024;
-
-/// Collect a crash-isolated sweep: a panicking point is dropped (and
-/// counted under `explore.points_lost`) instead of taking the whole
-/// sweep down. Deterministic: which points survive depends only on the
-/// inputs, never on the schedule.
-fn collect_sweep<P>(sweep: &'static str, results: Vec<Result<P, sfq_par::TaskPanic>>) -> Vec<P> {
-    let mut out = Vec::with_capacity(results.len());
-    for r in results {
-        match r {
-            Ok(p) => out.push(p),
-            Err(e) => {
-                sfq_obs::inc("explore.points_lost");
-                sfq_obs::log(sfq_obs::Level::Warn, || {
-                    format!("{sweep}: sweep point lost: {e}")
-                });
-            }
-        }
-    }
-    out
-}
 
 /// Geomean effective TMAC/s of a config across the six workloads.
 ///
@@ -63,8 +44,7 @@ pub struct BufferSweepPoint {
 const FIG20_DIVISIONS: [u32; 7] = [2, 4, 16, 64, 256, 1024, 4096];
 
 /// Shared per-sweep context: immutable inputs plus the Baseline
-/// normalizers, built once and reused by every point (and by both
-/// the plain and the resilient sweep drivers).
+/// normalizers, built once and reused by every point.
 struct Fig20Ctx {
     lib: CellLibrary,
     nets: Vec<Network>,
@@ -132,17 +112,7 @@ impl Fig20Ctx {
 /// increasing division degrees, in performance (single and max batch)
 /// and area, all normalized to Baseline.
 pub fn fig20_buffer_sweep() -> Vec<BufferSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig20.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig20");
-    let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig20: buffer-division sweep starting".into()
-    });
-    let ctx = Fig20Ctx::new();
-    let swept = par_map_catch(&FIG20_DIVISIONS, |&division| ctx.point(division));
-    let mut points = vec![Fig20Ctx::baseline_point()];
-    points.extend(collect_sweep("fig20", swept));
-    points
+    unguarded_values(fig20_buffer_sweep_resilient)
 }
 
 /// [`fig20_buffer_sweep`] under execution guards: deadline/cancel
@@ -160,7 +130,11 @@ pub fn fig20_buffer_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<BufferSweepPoint>, SweepError> {
     let _sweep = sfq_obs::span("explore.fig20.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep (resilient)");
+    let _prof = sfq_obs::prof::frame("explore.fig20");
+    let _trace = sfq_obs::trace::span("sweep", "fig20 buffer sweep");
+    sfq_obs::log(sfq_obs::Level::Info, || {
+        "fig20: buffer-division sweep starting".into()
+    });
     let ctx = Fig20Ctx::new();
     let eval = |i: usize| {
         if i == 0 {
@@ -281,17 +255,7 @@ impl Fig21Ctx {
 /// reinvest the area into buffer capacity (the paper's capacity
 /// schedule), and measure max-batch performance and intensity.
 pub fn fig21_resource_sweep() -> Vec<ResourceSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig21.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig21");
-    let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig21: resource-balancing sweep starting".into()
-    });
-    let ctx = Fig21Ctx::new();
-    let swept = par_map_catch(&FIG21_SCHEDULE, |&(width, buffer_mb)| {
-        ctx.point(width, buffer_mb)
-    });
-    collect_sweep("fig21", swept)
+    unguarded_values(fig21_resource_sweep_resilient)
 }
 
 /// [`fig21_resource_sweep`] under execution guards (see
@@ -304,7 +268,11 @@ pub fn fig21_resource_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<ResourceSweepPoint>, SweepError> {
     let _sweep = sfq_obs::span("explore.fig21.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep (resilient)");
+    let _prof = sfq_obs::prof::frame("explore.fig21");
+    let _trace = sfq_obs::trace::span("sweep", "fig21 resource sweep");
+    sfq_obs::log(sfq_obs::Level::Info, || {
+        "fig21: resource-balancing sweep starting".into()
+    });
     let ctx = Fig21Ctx::new();
     let eval = |i: usize| {
         let (width, buffer_mb) = FIG21_SCHEDULE[i];
@@ -397,24 +365,7 @@ impl Fig22Ctx {
 /// The per-PE register sweep (Fig. 22) at widths 64 and 128 with the
 /// Fig. 21 "added buffer" capacities.
 pub fn fig22_register_sweep() -> Vec<RegisterSweepPoint> {
-    let _sweep = sfq_obs::span("explore.fig22.ms");
-    let _prof = sfq_obs::prof::frame("explore.fig22");
-    let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep");
-    sfq_obs::log(sfq_obs::Level::Info, || {
-        "fig22: per-PE register sweep starting".into()
-    });
-    let ctx = Fig22Ctx::new();
-    let grid = fig22_grid();
-    // Keyed by array width: every point of one width shares the same
-    // characterization and estimate-cache working set, so steering a
-    // width's points to one worker keeps those cache lines (and the
-    // memo scans) warm instead of bouncing them between threads.
-    let swept = par_map_catch_keyed(
-        &grid,
-        |&(width, _, _)| u64::from(width),
-        |&(width, buffer_mb, regs)| ctx.point(width, buffer_mb, regs),
-    );
-    collect_sweep("fig22", swept)
+    unguarded_values(fig22_register_sweep_resilient)
 }
 
 /// [`fig22_register_sweep`] under execution guards (see
@@ -427,7 +378,11 @@ pub fn fig22_register_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<RegisterSweepPoint>, SweepError> {
     let _sweep = sfq_obs::span("explore.fig22.ms");
-    let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep (resilient)");
+    let _prof = sfq_obs::prof::frame("explore.fig22");
+    let _trace = sfq_obs::trace::span("sweep", "fig22 register sweep");
+    sfq_obs::log(sfq_obs::Level::Info, || {
+        "fig22: per-PE register sweep starting".into()
+    });
     let ctx = Fig22Ctx::new();
     let grid = fig22_grid();
     let eval = |i: usize| {

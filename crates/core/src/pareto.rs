@@ -6,10 +6,11 @@ use serde::{Deserialize, Serialize};
 use sfq_cells::CellLibrary;
 use sfq_estimator::{estimate, NpuConfig};
 use sfq_npu_sim::SimConfig;
-use sfq_par::par_map_keyed;
 
 use crate::evaluator::{geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
+use crate::resilient::{
+    run_resilient, sweep_identity, unguarded_values, ResilientOpts, SweepError, SweepReport,
+};
 
 const MB: u64 = 1024 * 1024;
 
@@ -44,24 +45,9 @@ impl Candidate {
 
 /// Evaluate a grid of candidates around the paper's design region.
 /// Candidates are independent, so the grid fans out across threads
-/// via [`sfq_par::par_map_keyed`], keyed by array width: candidates
-/// sharing a width reuse the same estimate/characterization working
-/// set, so affining them to one worker keeps those memos cache-warm
-/// while stealing still rebalances if one width runs long.
+/// through [`evaluate_grid_resilient`].
 pub fn evaluate_grid() -> Vec<Candidate> {
-    let _trace = sfq_obs::trace::span("sweep", "pareto grid");
-    let points = grid_points();
-
-    // Shared across candidates: the cell library and workload zoo are
-    // immutable inputs, built once instead of once per grid point.
-    let lib = CellLibrary::aist_10um();
-    let nets = paper_workloads();
-
-    par_map_keyed(
-        &points,
-        |&(width, _, _)| u64::from(width),
-        |&(width, buffer_mb, regs)| candidate(&lib, &nets, width, buffer_mb, regs),
-    )
+    unguarded_values(evaluate_grid_resilient)
 }
 
 fn grid_points() -> Vec<(u32, u64, u32)> {
@@ -118,8 +104,10 @@ fn candidate(
 ///
 /// Checkpoint-layer trouble only; see [`SweepError`].
 pub fn evaluate_grid_resilient(opts: &ResilientOpts) -> Result<SweepReport<Candidate>, SweepError> {
-    let _trace = sfq_obs::trace::span("sweep", "pareto grid (resilient)");
+    let _trace = sfq_obs::trace::span("sweep", "pareto grid");
     let points = grid_points();
+    // Shared across candidates: the cell library and workload zoo are
+    // immutable inputs, built once instead of once per grid point.
     let lib = CellLibrary::aist_10um();
     let nets = paper_workloads();
     let eval = |i: usize| {

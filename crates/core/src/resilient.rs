@@ -1,17 +1,17 @@
-//! Crash-safe, budget-aware sweep execution — the guard layer's sweep
-//! runner (the tentpole of the robustness PR).
+//! Crash-safe, budget-aware sweep execution: the one driver behind
+//! every design-space sweep in this crate.
 //!
-//! Every design-space sweep in this crate has the same shape: `n`
-//! independent design points, each evaluated by a pure function of its
-//! index. [`run_resilient`] runs that shape under execution guards:
+//! Every sweep here (Figs. 20–22, the Pareto grid, the bandwidth
+//! sweep) has the same shape: `n` independent design points, each
+//! evaluated by a pure function of its index. [`run_resilient`] runs
+//! that shape under execution guards:
 //!
 //! * the whole sweep shares one [`sfq_guard::RunBudget`]
 //!   (deadline + cancel token), installed as the ambient guard around
 //!   every point so transient solves inside observe it too;
 //! * a point that panics or times out is retried serially under
 //!   exponential backoff, then degraded to the caller's `fallback`
-//!   (typically the same closed-form evaluation, or reference numbers
-//!   in the style of `sfq_chars::reference_measurements`) instead of
+//!   (the sweeps pass their own closed-form evaluation) instead of
 //!   being dropped;
 //! * **every** point ends in a labeled terminal [`PointState`] —
 //!   nothing is ever silently lost;
@@ -21,13 +21,12 @@
 //!   resumes bit-identically: restored values round-trip through the
 //!   same JSON encoding the final report uses.
 //!
-//! This generalizes the checkpoint/resume harness that
-//! `sfq-faults::mc` grew for Monte-Carlo yield runs to *any* sweep.
-//!
-//! With default options (unlimited budget, no checkpoint) the runner
-//! degenerates to a single [`sfq_par::par_map_deadline`] dispatch —
-//! the same scheduling as the plain sweeps' `par_map_catch`, so the
-//! guard layer costs nothing when it is not asked for.
+//! The sweeps' plain entry points (`explore::fig20_buffer_sweep` and
+//! friends) call their `*_resilient` driver with
+//! [`ResilientOpts::unguarded`] through [`unguarded_values`]. With
+//! those options (unlimited budget, no checkpoint) the runner is a
+//! single [`sfq_par::par_map_deadline`] dispatch, so the guard layer
+//! costs nothing when it is not asked for.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -155,7 +154,7 @@ pub struct ResilientOpts {
 
 impl ResilientOpts {
     /// No guards at all: unlimited budget, default retries, no
-    /// checkpoint — the ≤2%-overhead configuration.
+    /// checkpoint — the configuration every plain sweep runs with.
     #[must_use]
     pub fn unguarded() -> Self {
         ResilientOpts {
@@ -164,17 +163,6 @@ impl ResilientOpts {
             checkpoint_path: None,
             checkpoint_every: 0,
             resume: false,
-        }
-    }
-
-    /// Guards from the environment: `SUPERNPU_DEADLINE_MS` becomes
-    /// the sweep deadline, `SUPERNPU_RETRIES` the retry count.
-    #[must_use]
-    pub fn from_env() -> Self {
-        ResilientOpts {
-            budget: RunBudget::from_env(),
-            retries: sfq_guard::retries_env(),
-            ..ResilientOpts::unguarded()
         }
     }
 
@@ -466,8 +454,7 @@ where
     }
 
     // Chunk size: the checkpoint cadence, or everything at once (a
-    // single dispatch with the same scheduling as `par_map_catch`)
-    // when checkpointing is off.
+    // single dispatch) when checkpointing is off.
     let chunk = if opts.checkpoint_path.is_some() && opts.checkpoint_every > 0 {
         opts.checkpoint_every
     } else {
@@ -493,6 +480,11 @@ where
                 },
                 other => retry_point(i, other, opts, &eval, fallback.as_ref()),
             };
+            if let PointState::Failed { message } = &rp.state {
+                sfq_obs::log(sfq_obs::Level::Warn, || {
+                    format!("{name}: sweep point {i} lost: {message}")
+                });
+            }
             if sfq_obs::enabled() {
                 sfq_obs::inc(match rp.state {
                     PointState::Completed => "resilient.completed",
@@ -522,4 +514,17 @@ where
         points: resolved,
         restored,
     })
+}
+
+/// Run a sweep driver with [`ResilientOpts::unguarded`] and return the
+/// values of its points in index order. A point that failed every
+/// attempt and its fallback has no value: it is logged and counted by
+/// [`run_resilient`] and left out here.
+pub(crate) fn unguarded_values<P>(
+    driver: impl FnOnce(&ResilientOpts) -> Result<SweepReport<P>, SweepError>,
+) -> Vec<P> {
+    match driver(&ResilientOpts::unguarded()) {
+        Ok(report) => report.values(),
+        Err(e) => unreachable!("an unguarded sweep has no checkpoint to fail: {e}"),
+    }
 }

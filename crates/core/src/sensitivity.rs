@@ -18,7 +18,9 @@ use sfq_par::par_map;
 
 use crate::designs::DesignPoint;
 use crate::evaluator::{geomean, geomean_tmacs_over, paper_workloads};
-use crate::resilient::{run_resilient, sweep_identity, ResilientOpts, SweepError, SweepReport};
+use crate::resilient::{
+    run_resilient, sweep_identity, unguarded_values, ResilientOpts, SweepError, SweepReport,
+};
 
 use sfq_npu_sim::SimConfig;
 
@@ -68,9 +70,7 @@ fn bandwidth_point(nets: &[Network], bw: f64) -> BandwidthPoint {
 
 /// Sweep the off-chip bandwidth for both machines.
 pub fn bandwidth_sweep() -> Vec<BandwidthPoint> {
-    let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep");
-    let nets = paper_workloads();
-    par_map(&BANDWIDTH_LINKS, |&bw| bandwidth_point(&nets, bw))
+    unguarded_values(bandwidth_sweep_resilient)
 }
 
 /// [`bandwidth_sweep`] under execution guards: budgeted, retried,
@@ -83,7 +83,7 @@ pub fn bandwidth_sweep() -> Vec<BandwidthPoint> {
 pub fn bandwidth_sweep_resilient(
     opts: &ResilientOpts,
 ) -> Result<SweepReport<BandwidthPoint>, SweepError> {
-    let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep (resilient)");
+    let _trace = sfq_obs::trace::span("sweep", "bandwidth sweep");
     let nets = paper_workloads();
     let eval = |i: usize| bandwidth_point(&nets, BANDWIDTH_LINKS[i]);
     let ident: Vec<u64> = BANDWIDTH_LINKS.iter().map(|b| b.to_bits()).collect();

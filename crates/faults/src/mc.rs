@@ -12,7 +12,7 @@
 //! ## Robustness contract
 //!
 //! * A sample that **panics** (whether injected via [`Injection`] or a
-//!   genuine solver bug) is caught by `sfq_par::par_map_catch` and
+//!   genuine solver bug) is caught by `sfq_par::par_map_deadline` and
 //!   recorded as [`Outcome::Panicked`] — it poisons only itself.
 //! * A sample whose transient **errors** is retried up to
 //!   `McOptions::retries` extra times, then recorded as
@@ -29,6 +29,8 @@ use std::path::{Path, PathBuf};
 use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
 use jjsim::{BatchedTransient, Circuit, SimError, SimOptions, SimResult, Solver};
 use serde::{Deserialize, Serialize};
+use sfq_guard::checkpoint::{self, CheckpointError};
+use sfq_par::TaskOutcome;
 
 use crate::rng::SplitMix64;
 use crate::variation::{perturb_and, perturb_dff, perturb_jtl, Variation};
@@ -239,7 +241,7 @@ fn probe_cell(cell: Cell, sigma: f64, rng: &mut SplitMix64) -> Result<bool, SimE
 }
 
 /// Run one sample to a verdict (everything but panic isolation, which
-/// the caller's `par_map_catch` provides).
+/// the caller's `par_map_deadline` provides).
 fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -> Outcome {
     if opts.injection.panic_at.contains(&idx) {
         panic!("injected fault: sample {idx} of {} probe", cell.name());
@@ -457,13 +459,15 @@ fn scalar_group(
     idxs: &[usize],
     opts: &McOptions,
 ) -> Vec<Outcome> {
-    sfq_par::par_map_catch(idxs, |&i| run_sample(cell, sigma, seed, i, opts))
-        .into_iter()
-        .map(|r| match r {
-            Ok(o) => o,
-            Err(_panic) => Outcome::Panicked,
-        })
-        .collect()
+    let unlimited = sfq_guard::RunBudget::unlimited();
+    sfq_par::par_map_deadline(idxs, &unlimited, |&i| {
+        run_sample(cell, sigma, seed, i, opts)
+    })
+    .into_iter()
+    // Only a panic (or a chaos-forced timeout) leaves a task
+    // uncompleted under an unlimited budget.
+    .map(|r| r.completed().unwrap_or(Outcome::Panicked))
+    .collect()
 }
 
 /// One lane group of a Monte-Carlo chunk. Injected groups keep the
@@ -490,6 +494,13 @@ fn run_group(cell: Cell, sigma: f64, seed: u64, idxs: &[usize], opts: &McOptions
     }
 }
 
+fn checkpoint_error(path: &Path, e: &CheckpointError) -> FaultError {
+    FaultError::Checkpoint {
+        path: path.to_path_buf(),
+        message: e.to_string(),
+    }
+}
+
 fn load_checkpoint(
     path: &Path,
     cell: Cell,
@@ -497,21 +508,12 @@ fn load_checkpoint(
     seed: u64,
     samples: u32,
 ) -> Result<Vec<Outcome>, FaultError> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        // A missing checkpoint is a cold start, not an error.
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-        Err(e) => {
-            return Err(FaultError::Checkpoint {
-                path: path.to_path_buf(),
-                message: format!("read failed: {e}"),
-            })
-        }
+    // A missing checkpoint is a cold start, not an error.
+    let Some(cp) =
+        checkpoint::load_json::<Checkpoint>(path).map_err(|e| checkpoint_error(path, &e))?
+    else {
+        return Ok(Vec::new());
     };
-    let cp: Checkpoint = serde_json::from_str(&text).map_err(|e| FaultError::Checkpoint {
-        path: path.to_path_buf(),
-        message: format!("parse failed: {e}"),
-    })?;
     let matches = cp.cell == cell.name()
         && cp.sigma_bits == sigma.to_bits()
         && cp.seed == seed
@@ -541,20 +543,11 @@ fn write_checkpoint(
         samples,
         outcomes: outcomes.to_vec(),
     };
-    let text = serde_json::to_string_pretty(&cp).map_err(|e| FaultError::Checkpoint {
-        path: path.to_path_buf(),
-        message: format!("serialize failed: {e}"),
-    })?;
     // Atomic persistence (temp sibling + fsync + rename): a crash
     // mid-write can never leave a torn checkpoint where the old one
     // stood — the file either still holds the previous prefix or
     // already holds the new one, both resumable.
-    sfq_guard::checkpoint::atomic_write(path, text.as_bytes()).map_err(|e| {
-        FaultError::Checkpoint {
-            path: path.to_path_buf(),
-            message: e.to_string(),
-        }
-    })?;
+    checkpoint::atomic_write_json(path, &cp).map_err(|e| checkpoint_error(path, &e))?;
     sfq_obs::inc("faults.mc.checkpoints");
     Ok(())
 }
@@ -598,13 +591,7 @@ pub fn run_outcomes(
         let results: Vec<Outcome> = if width < 2 {
             // Batching disabled: the historical per-sample path.
             let idxs: Vec<usize> = (start..end).collect();
-            sfq_par::par_map_catch(&idxs, |&i| run_sample(cell, sigma, seed, i, opts))
-                .into_iter()
-                .map(|r| match r {
-                    Ok(o) => o,
-                    Err(_panic) => Outcome::Panicked,
-                })
-                .collect()
+            scalar_group(cell, sigma, seed, &idxs, opts)
         } else {
             // Lane groups keyed on the *absolute* sample index, so a
             // resumed run regroups exactly like an uninterrupted one.
@@ -612,17 +599,19 @@ pub fn run_outcomes(
                 .into_iter()
                 .map(|r| r.collect())
                 .collect();
-            let per_group =
-                sfq_par::par_map_catch(&groups, |g| run_group(cell, sigma, seed, g, opts));
+            let unlimited = sfq_guard::RunBudget::unlimited();
+            let per_group = sfq_par::par_map_deadline(&groups, &unlimited, |g| {
+                run_group(cell, sigma, seed, g, opts)
+            });
             groups
                 .iter()
                 .zip(per_group)
                 .flat_map(|(g, r)| match r {
-                    Ok(outs) => outs,
+                    TaskOutcome::Completed(outs) => outs,
                     // A panic in the group *bookkeeping* (the probes
                     // themselves are already contained): redo this
                     // group sample-by-sample with panic isolation.
-                    Err(_panic) => scalar_group(cell, sigma, seed, g, opts),
+                    _ => scalar_group(cell, sigma, seed, g, opts),
                 })
                 .collect()
         };

@@ -1,11 +1,11 @@
 //! Seeded chaos injection for the worker pool.
 //!
 //! When enabled (`SUPERNPU_CHAOS=<seed>` or [`set_chaos`]), the
-//! pool's *fault-tolerant* execution paths (`par_map_catch`,
-//! `par_map_deadline` and the resilient sweep runner's retry loop)
-//! consult [`decide`] before running a task and deterministically
-//! inject one of three faults: a panic, a short stall, or a forced
-//! timeout. The decision is a pure hash of `(seed, task, attempt)`,
+//! pool's *fault-tolerant* execution paths (`sfq_par::par_map_deadline`
+//! and the retry loop of `supernpu::resilient::run_resilient`, which
+//! drives every design-space sweep) consult [`decide`] before running a
+//! task and deterministically inject one of three faults: a panic, a
+//! short stall, or a forced timeout. The decision is a pure hash of `(seed, task, attempt)`,
 //! so a chaos run is reproducible and a retry of the same task sees
 //! an *independent* draw — exactly like a real transient fault.
 //!

@@ -13,9 +13,9 @@
 //!   reaches every transient the sweep spawns without threading a
 //!   parameter through ten signatures.
 //! * [`chaos`] — seeded, deterministic fault injection (panics,
-//!   stalls, forced timeouts) for the pool's catch/deadline paths, so
-//!   the recovery machinery is exercised on purpose instead of only
-//!   in production.
+//!   stalls, forced timeouts) for the pool's fault-tolerant dispatch
+//!   path, so the recovery machinery is exercised on purpose instead
+//!   of only in production.
 //! * [`checkpoint`] — crash-safe atomic file persistence (temp file in
 //!   the same directory → fsync → rename) generalized out of the
 //!   `sfq-faults` Monte-Carlo so any sweep can be killed and resumed
@@ -186,17 +186,6 @@ impl RunBudget {
         self
     }
 
-    /// Budget from the environment: `SUPERNPU_DEADLINE_MS` (if set and
-    /// non-zero) becomes a wall-clock deadline; everything else stays
-    /// unlimited.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match deadline_ms_env() {
-            Some(ms) => Self::unlimited().with_deadline(Duration::from_millis(ms)),
-            None => Self::unlimited(),
-        }
-    }
-
     /// True when no limit and no cancel token is set — polling can be
     /// skipped entirely.
     #[must_use]
@@ -279,16 +268,12 @@ impl RunBudget {
 static GUARD_USED: AtomicU8 = AtomicU8::new(0);
 
 thread_local! {
-    static AMBIENT: RefCell<Ambient> = const { RefCell::new(Ambient { budgets: Vec::new(), relax: 0 }) };
-}
-
-struct Ambient {
-    budgets: Vec<RunBudget>,
-    relax: u32,
+    /// This thread's stack of ambient budgets, innermost last.
+    static AMBIENT: RefCell<Vec<RunBudget>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Has any guard scope ever been entered in this process? One relaxed
-/// load; `false` means [`active`] and [`relax_level`] are no-ops.
+/// load; `false` means [`active`] is a no-op.
 #[inline]
 #[must_use]
 pub fn enabled() -> bool {
@@ -304,20 +289,7 @@ pub fn active() -> Option<RunBudget> {
     if !enabled() {
         return None;
     }
-    AMBIENT.with(|a| a.borrow().budgets.last().cloned())
-}
-
-/// The ambient solver-relaxation level (0 = nominal options). Raised
-/// by [`with_relax`] around retry attempts so the solver loosens its
-/// adaptive bounds without an options parameter threaded through every
-/// characterization call.
-#[inline]
-#[must_use]
-pub fn relax_level() -> u32 {
-    if !enabled() {
-        return 0;
-    }
-    AMBIENT.with(|a| a.borrow().relax)
+    AMBIENT.with(|a| a.borrow().last().cloned())
 }
 
 struct ScopeGuard;
@@ -325,18 +297,8 @@ struct ScopeGuard;
 impl Drop for ScopeGuard {
     fn drop(&mut self) {
         AMBIENT.with(|a| {
-            a.borrow_mut().budgets.pop();
+            a.borrow_mut().pop();
         });
-    }
-}
-
-struct RelaxGuard {
-    prev: u32,
-}
-
-impl Drop for RelaxGuard {
-    fn drop(&mut self) {
-        AMBIENT.with(|a| a.borrow_mut().relax = self.prev);
     }
 }
 
@@ -345,7 +307,7 @@ impl Drop for RelaxGuard {
 /// restored on exit (including on panic).
 pub fn scope<R>(budget: &RunBudget, f: impl FnOnce() -> R) -> R {
     GUARD_USED.store(1, Ordering::Relaxed);
-    AMBIENT.with(|a| a.borrow_mut().budgets.push(budget.clone()));
+    AMBIENT.with(|a| a.borrow_mut().push(budget.clone()));
     let _g = ScopeGuard;
     f()
 }
@@ -360,51 +322,15 @@ pub fn scope_opt<R>(budget: Option<&RunBudget>, f: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Run `f` with the ambient solver-relaxation level set to `level`
-/// (restored on exit, including on panic). Level `k` asks the solver
-/// to tighten `dt_min` and loosen `lte_tol` by `4^k` — the retry
-/// ladder's "try again, but make convergence easier" knob.
-pub fn with_relax<R>(level: u32, f: impl FnOnce() -> R) -> R {
-    GUARD_USED.store(1, Ordering::Relaxed);
-    let prev = AMBIENT.with(|a| {
-        let mut a = a.borrow_mut();
-        let prev = a.relax;
-        a.relax = level;
-        prev
-    });
-    let _g = RelaxGuard { prev };
-    f()
-}
-
 // ------------------------------------------------------ retry/backoff
 
-/// Default retry count when `SUPERNPU_RETRIES` is unset.
+/// Default retry count of a failed or timed-out sweep point.
 pub const DEFAULT_RETRIES: u32 = 2;
 
 /// Base delay of the exponential backoff ladder.
 const BACKOFF_BASE: Duration = Duration::from_millis(5);
 /// Backoff cap — retries are for transient contention, not long waits.
 const BACKOFF_CAP: Duration = Duration::from_millis(80);
-
-/// `SUPERNPU_DEADLINE_MS` as a deadline in milliseconds; unset,
-/// unparsable or `0` mean "no deadline".
-#[must_use]
-pub fn deadline_ms_env() -> Option<u64> {
-    std::env::var("SUPERNPU_DEADLINE_MS")
-        .ok()
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .filter(|&ms| ms > 0)
-}
-
-/// `SUPERNPU_RETRIES` (how often a failed/timed-out point is retried
-/// before degrading), defaulting to [`DEFAULT_RETRIES`].
-#[must_use]
-pub fn retries_env() -> u32 {
-    std::env::var("SUPERNPU_RETRIES")
-        .ok()
-        .and_then(|v| v.trim().parse::<u32>().ok())
-        .unwrap_or(DEFAULT_RETRIES)
-}
 
 /// Exponential backoff delay before retry `attempt` (1-based):
 /// `5ms · 2^(attempt-1)`, capped at 80ms.
@@ -500,17 +426,6 @@ mod tests {
         let r = std::panic::catch_unwind(|| scope(&b, || panic!("boom")));
         assert!(r.is_err());
         assert!(active().is_none());
-    }
-
-    #[test]
-    fn relax_level_nests_and_restores() {
-        assert_eq!(relax_level(), 0);
-        let inner = with_relax(1, || {
-            let nested = with_relax(2, relax_level);
-            (relax_level(), nested)
-        });
-        assert_eq!(inner, (1, 2));
-        assert_eq!(relax_level(), 0);
     }
 
     #[test]

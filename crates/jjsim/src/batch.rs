@@ -642,7 +642,7 @@ fn run_group(
     let mut retired: [Option<Retire>; LANES] = [None; LANES];
 
     let h = opts.dt;
-    let (adaptive, mut dt_min, dt_max, mut lte_tol) = match opts.step {
+    let (adaptive, dt_min, dt_max, lte_tol) = match opts.step {
         StepControl::Fixed => (false, h, h, f64::INFINITY),
         StepControl::Adaptive {
             dt_min,
@@ -650,18 +650,6 @@ fn run_group(
             lte_tol,
         } => (true, dt_min, dt_max, lte_tol),
     };
-    // Same retry-ladder relaxation as the scalar path (see
-    // `Solver::try_run`), so a relaxed retry behaves identically no
-    // matter which path serves it.
-    if adaptive {
-        let relax = sfq_guard::relax_level().min(4);
-        if relax > 0 {
-            #[allow(clippy::cast_possible_wrap)]
-            let scale = 4f64.powi(relax as i32);
-            dt_min /= scale;
-            lte_tol *= scale;
-        }
-    }
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     let fixed_steps = (t_end / h).ceil() as usize;
 

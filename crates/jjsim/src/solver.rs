@@ -584,7 +584,7 @@ impl Solver {
         let ckt = &self.ckt;
         let n_unknown = ckt.node_count - 1; // ground excluded
         let h = self.opts.dt;
-        let (adaptive, mut dt_min, dt_max, mut lte_tol) = match self.opts.step {
+        let (adaptive, dt_min, dt_max, lte_tol) = match self.opts.step {
             StepControl::Fixed => (false, h, h, f64::INFINITY),
             StepControl::Adaptive {
                 dt_min,
@@ -593,19 +593,8 @@ impl Solver {
             } => (true, dt_min, dt_max, lte_tol),
         };
         // Ambient execution guard (one relaxed load when never used):
-        // an optional budget polled once per step attempt, and a
-        // relaxation level set by retry ladders — level k tightens
-        // `dt_min` and loosens `lte_tol` by 4^k so a run that blew its
-        // budget converges faster (and more robustly) on the retry.
+        // an optional budget polled once per step attempt.
         let budget = sfq_guard::active().filter(|b| !b.is_unlimited());
-        if adaptive {
-            let relax = sfq_guard::relax_level().min(4);
-            if relax > 0 {
-                let scale = 4f64.powi(relax as i32);
-                dt_min /= scale;
-                lte_tol *= scale;
-            }
-        }
         // Fixed-mode step count; also the trace capacity hint.
         let fixed_steps = (t_end / h).ceil() as usize;
         let steps_hint = if adaptive {

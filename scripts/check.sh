@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 # baselines with bench_compare (fails on wall-clock or correctness
 # regression). --chaos runs the robustness smoke gate: the resilient
 # sweep runner under deterministic fault injection (zero lost points,
-# bit-identical kill/resume, guards-disabled overhead parity).
+# bit-identical kill/resume).
 # --report runs the run-ledger smoke gate: two quick bin runs must
 # leave two well-formed manifests, supernpu_report must aggregate them
 # cleanly, and a synthetic slowdown must come out flagged REGRESSION.
@@ -34,6 +34,22 @@ cargo fmt --all -- --check
 
 echo "== cargo build --release --workspace =="
 cargo build --release --workspace
+
+echo "== results byte-identity =="
+# The committed figure series and paper report are the reproduction's
+# outputs: regenerating them from scratch must reproduce every byte.
+repo="$(pwd)"
+mkdir -p "$tmp/regen"
+(cd "$tmp/regen" && SUPERNPU_LEDGER=0 "$repo/target/release/export_csv" >/dev/null)
+(cd "$tmp/regen" && SUPERNPU_LEDGER=0 "$repo/target/release/full_report" >/dev/null 2>&1)
+# (results/jtl_trace.csv comes from `transient --trace`, not from
+# these two bins, and is not checked here.)
+for f in "$tmp"/regen/results/*; do
+    cmp "results/${f##*/}" "$f" || {
+        echo "results byte-identity: results/${f##*/} differs from a fresh regeneration" >&2
+        exit 1
+    }
+done
 
 echo "== cargo test -q --workspace =="
 cargo test -q --workspace
@@ -122,9 +138,8 @@ cargo clippy -p supernpu-bench --bins -- -D warnings -D clippy::unwrap_used -D c
 if [[ $RUN_CHAOS -eq 1 ]]; then
     echo "== chaos smoke gate (--chaos) =="
     # Shrunken robustness run: chaos-injected panics/timeouts/stalls
-    # must leave zero lost points, a cancelled sweep must resume
-    # bit-identically from its atomic checkpoint, and the unguarded
-    # resilient path must match the plain sweep. bench_robust itself
+    # must leave zero lost points, and a cancelled sweep must resume
+    # bit-identically from its atomic checkpoint. bench_robust itself
     # exits nonzero on any violated invariant; the emitted report must
     # re-parse through the bench gate (a self-compare).
     cargo build --release -p supernpu-bench --bin bench_robust --bin bench_compare
@@ -157,8 +172,8 @@ if [[ $RUN_REPORT -eq 1 ]]; then
         exit 1
     fi
     target/release/supernpu_report --ledger "$ledger" --out "$tmp" >/dev/null
-    grep -q 'table1_setup' "$tmp/report.md" || {
-        echo "ledger smoke: report.md has no table1_setup trend" >&2
+    grep -q 'table1_setup' "$tmp/observatory.md" || {
+        echo "ledger smoke: observatory.md has no table1_setup trend" >&2
         exit 1
     }
     # Synthetic regression: same bin and knobs, 100 ms -> 60000 ms.
@@ -171,7 +186,7 @@ if [[ $RUN_REPORT -eq 1 ]]; then
     done
     target/release/supernpu_report \
         --ledger "$tmp/regress" --out "$tmp/regress" --bench-dir "$tmp/regress" >/dev/null
-    grep -q 'REGRESSION' "$tmp/regress/report.md" || {
+    grep -q 'REGRESSION' "$tmp/regress/observatory.md" || {
         echo "ledger smoke: synthetic slowdown not flagged REGRESSION" >&2
         exit 1
     }
@@ -209,9 +224,8 @@ if [[ $RUN_BENCH -eq 1 ]]; then
     target/release/bench_compare \
         --baseline BENCH_batch.json --fresh "$tmp/BENCH_batch.json"
     # Full robustness run: bench_robust hard-fails internally on any
-    # lost point, non-identical resume, or guards-disabled overhead
-    # beyond budget; bench_compare re-checks against the committed
-    # baseline.
+    # lost point or non-identical resume; bench_compare re-checks
+    # against the committed baseline.
     (cd "$tmp" && "$repo/target/release/bench_robust" >/dev/null)
     target/release/bench_compare \
         --baseline BENCH_robust.json --fresh "$tmp/BENCH_robust.json"
