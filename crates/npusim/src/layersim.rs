@@ -1,13 +1,125 @@
 //! Per-layer cycle simulation.
+//!
+//! A layer tiles into `Gr` row groups × `Gc` column groups (see
+//! [`enumerate_mappings`](crate::enumerate_mappings)), and every
+//! mapping has one of at most six shapes: first, middle or last row
+//! group × full or last column group. The per-mapping charges depend
+//! only on the shape, so each shape is costed once and scaled by how
+//! many mappings share it. The integer totals are exact products; the
+//! `f64` energy totals add the shapes' per-mapping energies in the
+//! enumeration order (column group outer, row group inner), so they
+//! round exactly as a mapping-by-mapping walk does.
+
+use std::sync::OnceLock;
 
 use dnn_models::{Layer, LayerKind};
 use sfq_estimator::units::pe_pipeline_depth;
+use sfq_obs::Counter;
 
 use crate::config::SimConfig;
 use crate::faults::PulseFaults;
-use crate::mapping::enumerate_mappings;
 use crate::memory::DramModel;
 use crate::stats::{EnergyBreakdown, FaultCounts, LayerStats};
+
+/// Mappings of one row-group class.
+struct RowClass {
+    /// Row groups in the class.
+    count: u64,
+    /// Contraction elements mapped.
+    rows: u64,
+    /// Whether the group re-accumulates a previous group's psums.
+    accumulates: bool,
+}
+
+/// Mappings of one column-group class.
+struct ColClass {
+    /// Column groups in the class.
+    count: u64,
+    /// Filters mapped.
+    filters: u64,
+    /// Physical columns occupied.
+    cols: u64,
+    /// Filters resident per PE (ifmap stream repetitions).
+    reuse: u64,
+}
+
+/// Row-group classes in enumeration order: the first group, the full
+/// middle groups and the (possibly partial) last group. A class no
+/// group falls in has count 0.
+fn row_classes(contraction: u64, height: u64) -> [RowClass; 3] {
+    let groups = contraction.div_ceil(height);
+    let last_rows = contraction - groups.saturating_sub(1) * height;
+    let class = |count, rows, accumulates| RowClass {
+        count,
+        rows,
+        accumulates,
+    };
+    [
+        class(groups.min(1), contraction.min(height), false),
+        class(groups.saturating_sub(2), height, true),
+        class(u64::from(groups >= 2), last_rows, true),
+    ]
+}
+
+/// Column-group classes in enumeration order: the full groups, then
+/// the (possibly partial) last group.
+fn col_classes(filters: u64, width: u64, regs: u64) -> [ColClass; 2] {
+    let capacity = width * regs;
+    let groups = filters.div_ceil(capacity);
+    let last_filters = filters - groups.saturating_sub(1) * capacity;
+    let class = |count, filters: u64| {
+        // Spread filters across physical columns first; only stack
+        // into the per-PE registers when the width is exhausted.
+        let cols = filters.min(width);
+        ColClass {
+            count,
+            filters,
+            cols,
+            reuse: filters.div_ceil(cols.max(1)),
+        }
+    };
+    [
+        class(groups.saturating_sub(1), capacity),
+        class(groups.min(1), last_filters),
+    ]
+}
+
+/// `npusim.layer.*` counter handles, resolved from the registry once.
+struct LayerCounters {
+    count: &'static Counter,
+    prep_cycles: &'static Counter,
+    compute_cycles: &'static Counter,
+    stall_cycles: &'static Counter,
+    dram_bytes: &'static Counter,
+    macs: &'static Counter,
+    mappings: &'static Counter,
+}
+
+fn layer_counters() -> &'static LayerCounters {
+    static C: OnceLock<LayerCounters> = OnceLock::new();
+    C.get_or_init(|| LayerCounters {
+        count: sfq_obs::counter("npusim.layer.count"),
+        prep_cycles: sfq_obs::counter("npusim.layer.prep_cycles"),
+        compute_cycles: sfq_obs::counter("npusim.layer.compute_cycles"),
+        stall_cycles: sfq_obs::counter("npusim.layer.stall_cycles"),
+        dram_bytes: sfq_obs::counter("npusim.layer.dram_bytes"),
+        macs: sfq_obs::counter("npusim.layer.macs"),
+        mappings: sfq_obs::counter("npusim.layer.mappings"),
+    })
+}
+
+/// `npusim.faults.*` counter handles; registered only once a faulty
+/// layer is seen, so clean runs do not list them.
+fn fault_counters() -> &'static [&'static Counter; 3] {
+    static C: OnceLock<[&'static Counter; 3]> = OnceLock::new();
+    C.get_or_init(|| {
+        [
+            sfq_obs::counter("npusim.faults.dropped_pulses"),
+            sfq_obs::counter("npusim.faults.timing_violations"),
+            sfq_obs::counter("npusim.faults.stuck_macs"),
+        ]
+    })
+}
 
 /// Simulate one layer at the given batch.
 ///
@@ -44,7 +156,6 @@ pub fn simulate_layer_with_faults(
     });
     let npu = &cfg.npu;
     let dram = DramModel::new(cfg.mem_bandwidth_gbs, cfg.frequency_ghz);
-    let mappings = enumerate_mappings(layer, npu);
     let out_px = layer.output_pixels();
 
     let height = u64::from(npu.array_height);
@@ -69,47 +180,71 @@ pub fn simulate_layer_with_faults(
         (npu.output_buf_bytes + npu.psum_buf_bytes) / width
     };
 
+    let rows = row_classes(layer.contraction_len(), height);
+    let cols = col_classes(layer.filter_count(), width, u64::from(npu.regs_per_pe));
+    let row_groups: u64 = rows.iter().map(|r| r.count).sum();
+    let col_groups: u64 = cols.iter().map(|c| c.count).sum();
+    let mappings = row_groups * col_groups;
+
     let mut prep_cycles = 0u64;
     let mut compute_cycles = 0u64;
     let mut macs_total = 0u64;
     let mut dram_bytes = 0u64;
-    let mut energy = EnergyBreakdown::default();
+    // Per-mapping energy addends [pe, nw, dau, buffer] of each shape.
+    let mut addends = [[[0f64; 4]; 3]; 2];
 
     let b = u64::from(batch);
-    let col_groups = mappings.iter().map(|m| m.col_group).max().unwrap_or(0) + 1;
+    let e = &cfg.energy;
+    for (ci, c) in cols.iter().enumerate() {
+        for (ri, r) in rows.iter().enumerate() {
+            let n = c.count * r.count;
+            let stream = b * out_px * c.reuse;
+            compute_cycles += n * (stream + fill);
 
-    for m in &mappings {
-        let stream = b * out_px * u64::from(m.reuse_per_pe);
-        compute_cycles += stream + fill;
+            let weight_load = r.rows * c.reuse;
+            let psum = if r.accumulates { psum_move } else { 0 };
+            prep_cycles += n * (weight_load + ifmap_shift_per_map + psum);
 
-        let weight_load = u64::from(m.active_rows) * u64::from(m.reuse_per_pe);
-        let psum = if m.accumulates { psum_move } else { 0 };
-        prep_cycles += weight_load + ifmap_shift_per_map + psum;
+            // Weights always stream from DRAM, once per mapping.
+            dram_bytes += n * (r.rows * c.filters);
 
-        // Weights always stream from DRAM, once per mapping.
-        let weight_bytes = u64::from(m.active_rows) * u64::from(m.active_filters);
-        dram_bytes += weight_bytes;
+            // Monolithic output buffers flush between column groups
+            // (Fig. 18(a)): the partial ofmap goes out and comes back.
+            if monolithic && col_groups > 1 {
+                dram_bytes += n * (b * out_px * c.filters);
+            }
 
-        // Monolithic output buffers flush between column groups
-        // (Fig. 18(a)): the partial ofmap goes out and comes back.
-        if monolithic && col_groups > 1 {
-            let of_bytes = b * out_px * u64::from(m.active_filters);
-            dram_bytes += of_bytes;
+            let macs = out_px * b * r.rows * c.filters;
+            macs_total += n * macs;
+
+            // Dynamic energy.
+            let shift_events = ifmap_shift_per_map * height
+                + psum * 2 * width
+                + stream * (r.rows + c.cols)
+                + weight_load * c.cols;
+            addends[ci][ri] = [
+                macs as f64 * e.pe_mac_j,
+                macs as f64 * e.nw_hop_j,
+                (stream * r.rows) as f64 * e.dau_j,
+                shift_events as f64 * e.buffer_shift_j,
+            ];
         }
+    }
 
-        let macs = m.macs(out_px, batch);
-        macs_total += macs;
-
-        // Dynamic energy.
-        let e = &cfg.energy;
-        energy.pe_j += macs as f64 * e.pe_mac_j;
-        energy.nw_j += macs as f64 * e.nw_hop_j;
-        energy.dau_j += (stream * u64::from(m.active_rows)) as f64 * e.dau_j;
-        let shift_events = ifmap_shift_per_map * height
-            + psum * 2 * width
-            + stream * (u64::from(m.active_rows) + u64::from(m.active_cols))
-            + weight_load * u64::from(m.active_cols);
-        energy.buffer_j += shift_events as f64 * e.buffer_shift_j;
+    // Float addition is not associative: add one mapping at a time, in
+    // enumeration order, so the totals round as a per-mapping walk's.
+    let mut energy = EnergyBreakdown::default();
+    for (c, shapes) in cols.iter().zip(&addends) {
+        for _ in 0..c.count {
+            for (r, [pe, nw, dau, buffer]) in rows.iter().zip(shapes) {
+                for _ in 0..r.count {
+                    energy.pe_j += pe;
+                    energy.nw_j += nw;
+                    energy.dau_j += dau;
+                    energy.buffer_j += buffer;
+                }
+            }
+        }
     }
 
     // Layer-level ifmap traffic.
@@ -151,20 +286,19 @@ pub fn simulate_layer_with_faults(
         sfq_obs::prof::count("dram_bytes", dram_bytes);
     }
     if sfq_obs::enabled() {
-        sfq_obs::inc("npusim.layer.count");
-        sfq_obs::add("npusim.layer.prep_cycles", prep_cycles);
-        sfq_obs::add("npusim.layer.compute_cycles", compute_cycles);
-        sfq_obs::add("npusim.layer.stall_cycles", stall_cycles);
-        sfq_obs::add("npusim.layer.dram_bytes", dram_bytes);
-        sfq_obs::add("npusim.layer.macs", macs_total);
-        sfq_obs::add("npusim.layer.mappings", mappings.len() as u64);
+        let c = layer_counters();
+        c.count.inc();
+        c.prep_cycles.add(prep_cycles);
+        c.compute_cycles.add(compute_cycles);
+        c.stall_cycles.add(stall_cycles);
+        c.dram_bytes.add(dram_bytes);
+        c.macs.add(macs_total);
+        c.mappings.add(mappings);
         if fault_counts.total() > 0 {
-            sfq_obs::add("npusim.faults.dropped_pulses", fault_counts.dropped_pulses);
-            sfq_obs::add(
-                "npusim.faults.timing_violations",
-                fault_counts.timing_violations,
-            );
-            sfq_obs::add("npusim.faults.stuck_macs", fault_counts.stuck_macs);
+            let [dropped, timing, stuck] = fault_counters();
+            dropped.add(fault_counts.dropped_pulses);
+            timing.add(fault_counts.timing_violations);
+            stuck.add(fault_counts.stuck_macs);
         }
     }
 
@@ -175,7 +309,7 @@ pub fn simulate_layer_with_faults(
         stall_cycles,
         macs: macs_total,
         dram_bytes,
-        mappings: mappings.len() as u64,
+        mappings,
         energy,
         faults: fault_counts,
     }
@@ -188,6 +322,22 @@ mod tests {
 
     fn conv() -> Layer {
         Layer::conv("c", (56, 56), 64, 64, 3, 1, 1)
+    }
+
+    #[test]
+    fn shape_classes_count_every_group() {
+        let rows = |n, h| row_classes(n, h).map(|r| r.count);
+        assert_eq!(rows(0, 256), [0, 0, 0]);
+        assert_eq!(rows(144, 256), [1, 0, 0]);
+        assert_eq!(rows(300, 256), [1, 0, 1]);
+        assert_eq!(rows(4608, 256), [1, 16, 1]);
+        assert_eq!(row_classes(300, 256)[2].rows, 44);
+        let cols = |k, w, r| col_classes(k, w, r).map(|c| c.count);
+        assert_eq!(cols(0, 64, 8), [0, 0]);
+        assert_eq!(cols(512, 64, 8), [0, 1]);
+        assert_eq!(cols(1000, 64, 8), [1, 1]);
+        let last = &col_classes(1000, 64, 8)[1];
+        assert_eq!((last.filters, last.cols, last.reuse), (488, 64, 8));
     }
 
     #[test]

@@ -1,14 +1,27 @@
 //! Whole-network simulation: layer orchestration and buffer residency.
 
+use std::sync::OnceLock;
+
 use dnn_models::Network;
-use sfq_cells::CellLibrary;
-use sfq_estimator::estimate;
+use sfq_obs::{Counter, Histogram};
 
 use crate::batch::structural_max_batch;
 use crate::config::SimConfig;
 use crate::faults::PulseFaults;
 use crate::layersim::simulate_layer_with_faults;
 use crate::stats::NetworkStats;
+
+/// `npusim.network.count` and `npusim.network.sim_ms` handles,
+/// resolved from the registry once.
+fn network_metrics() -> (&'static Counter, &'static Histogram) {
+    static M: OnceLock<(&'static Counter, &'static Histogram)> = OnceLock::new();
+    *M.get_or_init(|| {
+        (
+            sfq_obs::counter("npusim.network.count"),
+            sfq_obs::histogram("npusim.network.sim_ms"),
+        )
+    })
+}
 
 /// Simulate `net` on `cfg` at its maximum on-chip batch (Table II
 /// methodology).
@@ -50,10 +63,12 @@ pub fn simulate_network_with_fault_plan(
     plan: &[PulseFaults],
 ) -> NetworkStats {
     assert!(batch > 0, "batch must be positive");
-    let _span = sfq_obs::span("npusim.network.sim_ms");
+    let _span = sfq_obs::enabled().then(|| {
+        let (count, sim_ms) = network_metrics();
+        count.inc();
+        sfq_obs::span_on(sim_ms)
+    });
     let _pf = sfq_obs::prof::frame("npusim.network");
-    sfq_obs::inc("npusim.network.count");
-    let est = estimate(&cfg.npu, &CellLibrary::aist_10um());
     let out_cap = cfg.npu.output_buf_bytes + cfg.npu.psum_buf_bytes;
 
     let clean = PulseFaults::none();
@@ -73,7 +88,8 @@ pub fn simulate_network_with_fault_plan(
         batch,
         frequency_ghz: cfg.frequency_ghz,
         static_w: cfg.energy.static_w,
-        peak_tmacs: est.peak_tmacs,
+        // The estimator's peak formula, at this config's own clock.
+        peak_tmacs: cfg.npu.pe_count() as f64 * cfg.frequency_ghz * 1e9 / 1e12,
         layers,
     }
 }
@@ -221,6 +237,35 @@ mod tests {
             assert_eq!(l.faults, crate::FaultCounts::default());
         }
         assert!(faulty.fault_fraction() > 0.0 && faulty.fault_fraction() < 1.0);
+    }
+
+    #[test]
+    fn utilization_is_clock_independent() {
+        // Peak throughput follows the config's own clock: doubling the
+        // clock (and the memory link with it, so every cycle count is
+        // unchanged) must leave utilization bit-identical, and a
+        // clock-only change keeps it MACs per PE-cycle.
+        let cfg = SimConfig::paper_supernpu();
+        let net = zoo::alexnet();
+        let mut fast = cfg.clone();
+        fast.frequency_ghz *= 2.0;
+        let mut fast_mem = fast.clone();
+        fast_mem.mem_bandwidth_gbs *= 2.0;
+
+        let base = simulate_network(&cfg, &net).pe_utilization();
+        let doubled = simulate_network(&fast_mem, &net).pe_utilization();
+        assert_eq!(doubled.to_bits(), base.to_bits(), "{doubled} vs {base}");
+        for c in [&cfg, &fast, &fast_mem] {
+            let s = simulate_network(c, &net);
+            let pe_cycles = s.total_cycles() as f64 * c.npu.pe_count() as f64;
+            let per_cycle = s.total_macs() as f64 / pe_cycles;
+            let u = s.pe_utilization();
+            assert!(
+                (u - per_cycle).abs() <= 1e-12 * per_cycle,
+                "{u} vs {per_cycle}"
+            );
+            assert!(u > 0.0 && u <= 1.0, "utilization {u}");
+        }
     }
 
     #[test]

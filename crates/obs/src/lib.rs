@@ -582,6 +582,16 @@ pub fn span(name: &str) -> Span {
     }
 }
 
+/// Open a scoped timer on an already-resolved histogram handle. Like
+/// the handle it always records: hot paths gate it on [`enabled`] and
+/// cache the handle, skipping [`span`]'s registry lookup.
+#[inline]
+pub fn span_on(h: &'static Histogram) -> Span {
+    Span {
+        live: Some((Instant::now(), h)),
+    }
+}
+
 // --------------------------------------------------------------- snapshot
 
 /// Snapshot of one counter.

@@ -51,8 +51,12 @@ fn main() -> ExitCode {
     );
 
     // 2. A design-space sweep — the `sweep` slice plus `pool worker N`
-    //    task slices from the par_map fan-out.
+    //    task slices from the par_map fan-out. Eight points can cost
+    //    less than spawning workers, so pin the chunk: that takes the
+    //    pool path even where the break-even fallback would run inline.
+    sfq_par::set_chunk(1);
     let points = supernpu::explore::fig20_buffer_sweep();
+    sfq_par::set_chunk(0);
     println!("fig20 sweep: {} points", points.len());
 
     // 3. The cycle-domain process: AlexNet's access trace as

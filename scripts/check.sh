@@ -36,14 +36,15 @@ echo "== cargo build --release --workspace =="
 cargo build --release --workspace
 
 echo "== results byte-identity =="
-# The committed figure series and paper report are the reproduction's
-# outputs: regenerating them from scratch must reproduce every byte.
+# The committed figure series, paper report and JTL voltage trace are
+# the reproduction's outputs: regenerating them from scratch must
+# reproduce every byte.
 repo="$(pwd)"
 mkdir -p "$tmp/regen"
 (cd "$tmp/regen" && SUPERNPU_LEDGER=0 "$repo/target/release/export_csv" >/dev/null)
 (cd "$tmp/regen" && SUPERNPU_LEDGER=0 "$repo/target/release/full_report" >/dev/null 2>&1)
-# (results/jtl_trace.csv comes from `transient --trace`, not from
-# these two bins, and is not checked here.)
+SUPERNPU_LEDGER=0 target/release/transient decks/jtl4.cir --trace N1,N4 \
+    --out "$tmp/regen/results/jtl_trace.csv" >/dev/null
 for f in "$tmp"/regen/results/*; do
     cmp "results/${f##*/}" "$f" || {
         echo "results byte-identity: results/${f##*/} differs from a fresh regeneration" >&2
