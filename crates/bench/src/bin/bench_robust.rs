@@ -6,7 +6,10 @@
 //! 1. **Zero silent loss under chaos** — with the chaos harness
 //!    injecting panics, forced timeouts and stalls into 3/16 of
 //!    `(task, attempt)` draws, every point of every sweep still ends
-//!    `Completed` or `Degraded` with a value; `lost()` is zero.
+//!    `Completed` or `Degraded` with a value; `lost()` is zero. The
+//!    chaos records count the points whose first attempt was taken down
+//!    (`retried`); if no chaos point was retried or degraded the record
+//!    is vacuous and the run fails.
 //! 2. **Bit-identical resume** — a sweep cancelled mid-flight leaves
 //!    an atomic checkpoint whose resumed continuation reproduces the
 //!    uninterrupted run's values byte-for-byte.
@@ -29,8 +32,22 @@ use supernpu_bench::report::{die, to_json_pretty, write_report};
 
 /// Seed for the chaos harness: deterministic, so the injected
 /// failures (and therefore the retry/degrade counters) are the same
-/// on every run.
-const CHAOS_SEED: u64 = 2024;
+/// on every run. It takes down the first attempt of 3 Fig. 20 points
+/// (panics at points 6 and 7) and 1 Fig. 21 point, so the chaos records
+/// take the retry path; a seed that only stalls would leave them
+/// vacuous.
+const CHAOS_SEED: u64 = 13;
+
+/// Tasks of the fault-tolerant pool whose first attempt panicked or
+/// was forced to time out, so far. In these sweeps every such task is
+/// a design point that went down the retry ladder. Needs metrics on.
+fn first_attempts_failed() -> u64 {
+    let m = sfq_obs::snapshot();
+    ["par.task_panics", "guard.par.timed_out"]
+        .iter()
+        .map(|c| m.counter(c).unwrap_or(0))
+        .sum()
+}
 
 fn json_of<T: Serialize>(what: &str, value: &T) -> String {
     serde_json::to_string(value).unwrap_or_else(|e| die(format!("serialize {what}: {e}")))
@@ -42,11 +59,13 @@ fn clear_caches() {
 }
 
 /// One `"robust"` report entry from a sweep report, plus the
-/// invariant violations it contributes.
+/// invariant violations it contributes. `retried` (chaos sweeps only)
+/// is the number of points whose first attempt failed.
 fn sweep_entry<P: Serialize>(
     name: &str,
     report: &SweepReport<P>,
     ms: f64,
+    retried: Option<u64>,
     failures: &mut Vec<String>,
 ) -> Value {
     let (completed, degraded, timed_out, cancelled, failed) = report.state_counts();
@@ -60,7 +79,7 @@ fn sweep_entry<P: Serialize>(
             "{name}: state counts do not cover all {points} points"
         ));
     }
-    Value::Object(vec![
+    let mut fields = vec![
         ("name".into(), Value::Str(name.to_owned())),
         ("points".into(), Value::U64(points as u64)),
         ("completed".into(), Value::U64(completed as u64)),
@@ -70,8 +89,12 @@ fn sweep_entry<P: Serialize>(
         ("failed".into(), Value::U64(failed as u64)),
         ("lost".into(), Value::U64(lost as u64)),
         ("restored".into(), Value::U64(report.restored as u64)),
-        ("ms".into(), Value::F64(ms)),
-    ])
+    ];
+    if let Some(r) = retried {
+        fields.push(("retried".into(), Value::U64(r)));
+    }
+    fields.push(("ms".into(), Value::F64(ms)));
+    Value::Object(fields)
 }
 
 fn resilient_fig20(opts: &ResilientOpts) -> SweepReport<supernpu::explore::BufferSweepPoint> {
@@ -89,33 +112,57 @@ fn main() {
     // Deterministic injected panics/timeouts/stalls; the ladder must
     // still label and value every point. The hook swap keeps the
     // injected panics from spraying backtraces over the report.
+    // Metrics are on for the chaos sweeps only, to count the points
+    // the chaos harness sent down the retry ladder.
+    let metrics_were_on = sfq_obs::enabled();
+    sfq_obs::set_enabled(true);
     let hook = std::panic::take_hook();
     std::panic::set_hook(Box::new(|_| {}));
     chaos::set_chaos(Some(CHAOS_SEED));
     let guarded = ResilientOpts::unguarded();
     clear_caches();
+    let before = first_attempts_failed();
     let t0 = Instant::now();
     let chaos_fig20 = resilient_fig20(&guarded);
     let chaos_ms = t0.elapsed().as_secs_f64() * 1e3;
+    let fig20_retried = first_attempts_failed() - before;
+    let mut exercised = fig20_retried + chaos_fig20.state_counts().1 as u64;
     entries.push(sweep_entry(
         "fig20_chaos",
         &chaos_fig20,
         chaos_ms,
+        Some(fig20_retried),
         &mut failures,
     ));
     if !smoke {
         clear_caches();
+        let before = first_attempts_failed();
         let t0 = Instant::now();
         let chaos_fig21 = supernpu::explore::fig21_resource_sweep_resilient(&guarded)
             .unwrap_or_else(|e| die(format!("fig21 resilient: {e}")));
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        entries.push(sweep_entry("fig21_chaos", &chaos_fig21, ms, &mut failures));
+        let retried = first_attempts_failed() - before;
+        exercised += retried + chaos_fig21.state_counts().1 as u64;
+        entries.push(sweep_entry(
+            "fig21_chaos",
+            &chaos_fig21,
+            ms,
+            Some(retried),
+            &mut failures,
+        ));
     }
     chaos::set_chaos(None);
     std::panic::set_hook(hook);
+    sfq_obs::set_enabled(metrics_were_on);
+    if exercised == 0 {
+        failures.push(format!(
+            "chaos seed {CHAOS_SEED} retried or degraded no point: the chaos records are vacuous"
+        ));
+    }
     let (c, d, ..) = chaos_fig20.state_counts();
     println!(
-        "chaos(seed={CHAOS_SEED}): fig20 {} pts -> {c} completed, {d} degraded, {} lost",
+        "chaos(seed={CHAOS_SEED}): fig20 {} pts -> {c} completed ({fig20_retried} retried), \
+         {d} degraded, {} lost",
         chaos_fig20.points.len(),
         chaos_fig20.lost()
     );
@@ -136,6 +183,7 @@ fn main() {
         "fig20_unguarded",
         &reference,
         reference_ms,
+        None,
         &mut failures,
     ));
     let reference_json = json_of("reference fig20", &reference.values());
@@ -160,7 +208,13 @@ fn main() {
         .unwrap_or_else(|_| die("cancel timer thread panicked"));
     let (killed_done, killed_degraded, _, killed_cancelled, _) = killed.state_counts();
 
-    entries.push(sweep_entry("fig20_killed", &killed, 0.0, &mut failures));
+    entries.push(sweep_entry(
+        "fig20_killed",
+        &killed,
+        0.0,
+        None,
+        &mut failures,
+    ));
 
     let resume_opts = ResilientOpts::unguarded().with_checkpoint(ckpt, 2, true);
     clear_caches();
@@ -171,6 +225,7 @@ fn main() {
         "fig20_resumed",
         &resumed,
         resume_ms,
+        None,
         &mut failures,
     ));
     let restored = resumed.restored;

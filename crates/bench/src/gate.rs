@@ -15,9 +15,14 @@
 //!   noise), the solver's `step_ratio_total` must hold ≥ 95% of the
 //!   baseline ratio and ≥ its own `min_step_ratio`, and every
 //!   baseline entry must still exist in the fresh report.
+//! * **identity** — the Monte-Carlo report (`BENCH_faults.json`) has
+//!   no timing check: its yield curves are a pure function of the
+//!   seed, so every baseline tally must come back exactly, and the
+//!   fresh run's interrupted-resume check must have held.
 //!
 //! The schema is auto-detected from the top-level key: `"sweeps"`
-//! (the sweep report) or `"cells"` (the solver report).
+//! (sweeps), `"cells"` (solver), `"kernels"` (profile), `"batch"`,
+//! `"robust"` or `"curves"` (faults).
 
 use serde::Value;
 
@@ -429,8 +434,67 @@ fn compare_robust(base: &Value, fresh: &Value, tol: &Tolerances, report: &mut Ga
     }
 }
 
+/// The run parameters a Monte-Carlo report must share with its
+/// baseline before its curves can be compared.
+const FAULTS_PARAMS: [&str; 4] = ["seed", "samples_per_point", "retries", "checkpoint_every"];
+
+fn compare_faults(base: &Value, fresh: &Value, report: &mut GateReport) {
+    // Hard correctness of the fresh run alone: the interrupted-resume
+    // check inside bench_faults.
+    report.check(
+        get(fresh, "resume_identical").and_then(Value::as_bool) == Some(true),
+        || "faults: resumed Monte-Carlo run diverged from the uninterrupted run".into(),
+    );
+    for key in FAULTS_PARAMS {
+        let (b, f) = (get(base, key), get(fresh, key));
+        report.check(b.is_some() && b == f, || {
+            format!("faults: {key} {f:?} differs from baseline {b:?}")
+        });
+    }
+    // Identity, not timing: outcomes are a pure function of the seed,
+    // so every field of every baseline yield point (the tallies and
+    // the yield derived from them) must come back exactly. The report's
+    // metrics section, which holds the timings, is not read.
+    fn curves(v: &Value) -> &[Value] {
+        get(v, "curves").and_then(Value::as_array).unwrap_or(&[])
+    }
+    let (base_curves, fresh_curves) = (curves(base), curves(fresh));
+    report.check(
+        !base_curves.is_empty() && base_curves.len() == fresh_curves.len(),
+        || {
+            format!(
+                "faults: {} curve(s) in fresh report, {} in baseline",
+                fresh_curves.len(),
+                base_curves.len()
+            )
+        },
+    );
+    for (c, (b, f)) in base_curves.iter().zip(fresh_curves).enumerate() {
+        let (b, f) = (b.as_array().unwrap_or(&[]), f.as_array().unwrap_or(&[]));
+        report.check(b.len() == f.len(), || {
+            format!(
+                "faults curve {c}: {} point(s) in fresh report, {} in baseline",
+                f.len(),
+                b.len()
+            )
+        });
+        for (bp, fp) in b.iter().zip(f) {
+            for (key, want) in bp.as_object().unwrap_or(&[]) {
+                let got = get(fp, key);
+                report.check(got == Some(want), || {
+                    format!(
+                        "faults curve {c} {:?} σ={:?}: {key} {got:?} differs from baseline {want:?}",
+                        get(bp, "cell"),
+                        get(bp, "sigma")
+                    )
+                });
+            }
+        }
+    }
+}
+
 /// The top-level key identifying each known report schema.
-pub const KNOWN_SCHEMAS: [&str; 5] = ["sweeps", "cells", "kernels", "batch", "robust"];
+pub const KNOWN_SCHEMAS: [&str; 6] = ["sweeps", "cells", "kernels", "batch", "robust", "curves"];
 
 /// Detect which [`KNOWN_SCHEMAS`] entry a report matches, or
 /// `"unknown"`. Shared by [`compare`] and the observatory's baseline
@@ -451,7 +515,7 @@ pub fn schema_version_of(v: &Value) -> u64 {
 }
 
 /// Compare a fresh bench report against its baseline. The schema
-/// (sweep vs solver vs profile vs batch) is detected from each
+/// (one of [`KNOWN_SCHEMAS`]) is detected from each
 /// report's top-level keys; an unrecognized baseline fails loudly —
 /// naming the keys it does have — rather than being silently skipped,
 /// so pointing the gate at a report it was never taught about is an
@@ -499,6 +563,7 @@ pub fn compare(base: &Value, fresh: &Value, tol: &Tolerances) -> GateReport {
         "kernels" => compare_profile(base, fresh, tol, &mut report),
         "batch" => compare_batch(base, fresh, tol, &mut report),
         "robust" => compare_robust(base, fresh, tol, &mut report),
+        "curves" => compare_faults(base, fresh, &mut report),
         _ => compare_solver(base, fresh, tol, &mut report),
     }
     report
@@ -802,22 +867,79 @@ mod tests {
     #[test]
     fn unknown_schema_fails_loudly_naming_its_keys() {
         let tol = Tolerances::default();
-        // A report the gate was never taught about (e.g. the faults
-        // yield curves) must fail with a registration hint, not pass
-        // vacuously with zero entry checks.
-        let curves = r#"{"seed":42,"curves":[[{"cell":"jtl","yield":0.99}]]}"#;
-        let r = compare_json(curves, curves, &tol).unwrap();
+        // A report the gate was never taught about must fail with a
+        // registration hint, not pass vacuously with zero entry checks.
+        let widgets = r#"{"seed":42,"widgets":[[{"name":"w","value":0.99}]]}"#;
+        let r = compare_json(widgets, widgets, &tol).unwrap();
         assert!(!r.passed());
         assert!(
             r.failures
                 .iter()
-                .any(|f| f.contains("no known schema") && f.contains("curves")),
+                .any(|f| f.contains("no known schema") && f.contains("widgets")),
             "{:?}",
             r.failures
         );
         // Both sides are diagnosed independently.
         assert!(
             r.failures.iter().any(|f| f.starts_with("fresh report")),
+            "{:?}",
+            r.failures
+        );
+    }
+
+    fn faults(pass: u64, seed: u64, resume: bool, ms: f64) -> String {
+        format!(
+            r#"{{"schema_version":1,"seed":{seed},"samples_per_point":8,"retries":1,"checkpoint_every":4,
+               "curves":[[{{"cell":"jtl","sigma":0.02,"samples":8,"pass":{pass},"fail":0,"non_convergent":1,"panicked":1,"yield":0.75}},
+                          {{"cell":"jtl","sigma":0.35,"samples":8,"pass":3,"fail":3,"non_convergent":1,"panicked":1,"yield":0.375}}]],
+               "resume_identical":{resume},
+               "metrics":{{"histograms":[{{"name":"par.task_ms","sum":{ms}}}]}}}}"#
+        )
+    }
+
+    #[test]
+    fn faults_reports_are_gated_on_identity_not_time() {
+        let tol = Tolerances::default();
+        let base = faults(6, 42, true, 10.0);
+        // Timings live only in the metrics section: a 100× slower
+        // run with the same tallies passes.
+        let r = compare_json(&base, &faults(6, 42, true, 1000.0), &tol).unwrap();
+        assert!(r.passed(), "{:?}", r.failures);
+        assert_eq!(schema_of(&serde_json::from_str(&base).unwrap()), "curves");
+        // One tally off fails, naming the field and the point.
+        let r = compare_json(&base, &faults(5, 42, true, 10.0), &tol).unwrap();
+        assert!(
+            r.failures
+                .iter()
+                .any(|f| f.contains("pass") && f.contains("0.02")),
+            "{:?}",
+            r.failures
+        );
+        // A diverged resume fails on the fresh run alone.
+        let r = compare_json(&base, &faults(6, 42, false, 10.0), &tol).unwrap();
+        assert!(
+            r.failures.iter().any(|f| f.contains("resumed")),
+            "{:?}",
+            r.failures
+        );
+        // A different seed is a different experiment, not a match.
+        let r = compare_json(&base, &faults(6, 7, true, 10.0), &tol).unwrap();
+        assert!(
+            r.failures.iter().any(|f| f.contains("seed")),
+            "{:?}",
+            r.failures
+        );
+        // A dropped point fails.
+        let short = base.replacen(
+            r#",
+                          {"cell":"jtl","sigma":0.35,"samples":8,"pass":3,"fail":3,"non_convergent":1,"panicked":1,"yield":0.375}"#,
+            "",
+            1,
+        );
+        assert_ne!(short, base);
+        let r = compare_json(&base, &short, &tol).unwrap();
+        assert!(
+            r.failures.iter().any(|f| f.contains("point(s)")),
             "{:?}",
             r.failures
         );

@@ -276,11 +276,15 @@ type EstimateKey = (NpuConfig, Vec<u64>);
 /// lookup is a linear scan comparing whole keys, so it costs more as
 /// the memo fills: a design-space sweep over more distinct points than
 /// [`ESTIMATE_CACHE_CAP`] fills all of it and misses on every point,
-/// and each miss pays the full scan on top of the estimation (about
-/// 22 µs per `SimConfig::try_from_npu` against 9 µs for
-/// [`estimate_uncached`], on a 2-vCPU Xeon KVM host). Such sweeps
-/// should call [`estimate_uncached`]. Cleared wholesale when it
-/// reaches the cap.
+/// and each miss pays the full scan on top of the estimation. Traced
+/// `perfbench` runs put a miss through `SimConfig::try_from_npu` at
+/// about 22 µs against 9 µs for [`estimate_uncached`] (2-vCPU Xeon KVM
+/// host); those figures include the tracer's own cost. Untraced, a
+/// hashed memo in place of the scan moved `design_sweep` throughput by
+/// only +1–5% (3 paired runs) and raised its peak RSS by 6%, so the
+/// scan stays until new measurements say otherwise. Sweeps over more
+/// points than the cap should still call [`estimate_uncached`].
+/// Cleared wholesale when it reaches the cap.
 static ESTIMATE_CACHE: RwLock<Vec<(EstimateKey, NpuEstimate)>> = RwLock::new(Vec::new());
 const ESTIMATE_CACHE_CAP: usize = 1024;
 

@@ -23,13 +23,24 @@
 //!   and every sample is a pure function of `(seed, cell, σ, index)`,
 //!   a resumed run is **bit-identical** to an uninterrupted one, at any
 //!   thread count.
+//! * Every checkpoint a call needs is loaded before any sample runs,
+//!   so a foreign one fails the call up front, having written nothing.
+//!
+//! A single σ ([`run_outcomes`]) and a whole curve ([`yield_curve`])
+//! share one round-based engine that runs every (σ, lane group) task
+//! of a checkpoint round in one parallel region; only the schedule
+//! depends on that, never an outcome.
 
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
-use jjsim::stdlib::{clocked_and, dff, jtl_chain, AndParams, DffParams, JtlParams};
-use jjsim::{BatchedTransient, Circuit, SimError, SimOptions, SimResult, Solver};
+use jjsim::stdlib::{
+    clocked_and, dff, jtl_chain, AndParams, AndProbes, DffParams, DffProbes, JtlParams,
+};
+use jjsim::{BatchedTransient, Circuit, ElementId, SimError, SimOptions, SimResult, Solver};
 use serde::{Deserialize, Serialize};
 use sfq_guard::checkpoint::{self, CheckpointError};
+use sfq_obs::Counter;
 use sfq_par::TaskOutcome;
 
 use crate::rng::SplitMix64;
@@ -202,41 +213,88 @@ struct Checkpoint {
     outcomes: Vec<Outcome>,
 }
 
+/// `faults.mc.samples`, then one `faults.mc.*` counter per [`Outcome`]
+/// in declaration order: handles resolved once. They record
+/// unconditionally, so callers check [`sfq_obs::enabled`] first.
+fn mc_counters() -> &'static [&'static Counter; 5] {
+    static C: OnceLock<[&'static Counter; 5]> = OnceLock::new();
+    C.get_or_init(|| {
+        ["samples", "pass", "fail", "non_convergent", "panicked"]
+            .map(|n| sfq_obs::counter(&format!("faults.mc.{n}")))
+    })
+}
+
+/// One functional testbench of a cell: build it from the perturbed
+/// parameters, simulate to `t_end`, judge the pulses. A draw passes
+/// when it passes every bench of its cell in order; it fails at the
+/// first bench it fails, and later benches do not run.
+struct Bench<P, Q> {
+    build: fn(&P) -> (Circuit, Q),
+    t_end: f64,
+    passed: fn(&SimResult, &Q) -> bool,
+}
+
+/// JTL: one pulse in, one out per stage.
+const JTL_BENCHES: [Bench<JtlParams, Vec<ElementId>>; 1] = [Bench {
+    build: |p| jtl_chain(4, p),
+    t_end: 200e-12,
+    passed: |out, stages| stages.iter().all(|j| out.pulse_count(*j) == 1),
+}];
+
+/// DFF: stores and releases a data pulse, then a clock without data
+/// stays silent.
+const DFF_BENCHES: [Bench<DffParams, DffProbes>; 2] = [
+    Bench {
+        build: |p| dff(&[60e-12], &[100e-12], p),
+        t_end: 160e-12,
+        passed: |out, q| out.pulse_count(q.input) == 1 && out.pulse_count(q.output) == 1,
+    },
+    Bench {
+        build: |p| dff(&[], &[100e-12], p),
+        t_end: 160e-12,
+        passed: |out, q| out.pulse_count(q.output) == 0,
+    },
+];
+
+/// Clocked AND: fires with both inputs set, stays silent with one.
+const AND_BENCHES: [Bench<AndParams, AndProbes>; 2] = [
+    Bench {
+        build: |p| clocked_and(&[60e-12], &[60e-12], &[100e-12], p),
+        t_end: 170e-12,
+        passed: |out, q| out.pulse_count(q.output) == 1,
+    },
+    Bench {
+        build: |p| clocked_and(&[60e-12], &[], &[100e-12], p),
+        t_end: 170e-12,
+        passed: |out, q| out.pulse_count(q.output) == 0,
+    },
+];
+
+/// The substream of one sample: depends only on its identity.
+fn sample_rng(seed: u64, cell: Cell, sigma: f64, idx: usize) -> SplitMix64 {
+    SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), idx as u64])
+}
+
+/// Scalar verdict of one perturbed draw over its cell's benches.
+fn run_benches<P, Q>(p: &P, benches: &[Bench<P, Q>]) -> Result<bool, SimError> {
+    for b in benches {
+        let (ckt, q) = (b.build)(p);
+        let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(b.t_end)?;
+        if !(b.passed)(&out, &q) {
+            return Ok(false);
+        }
+    }
+    Ok(true)
+}
+
 /// Functional probe of one perturbed cell draw. Pure in `(cell, σ,
 /// rng-state)`; runs one or two short transients.
 fn probe_cell(cell: Cell, sigma: f64, rng: &mut SplitMix64) -> Result<bool, SimError> {
     let v = Variation::uniform(sigma);
     match cell {
-        Cell::Jtl => {
-            let p = perturb_jtl(&JtlParams::default(), &v, rng);
-            let (ckt, stages) = jtl_chain(4, &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(200e-12)?;
-            Ok(stages.iter().all(|j| out.pulse_count(*j) == 1))
-        }
-        Cell::Dff => {
-            let p = perturb_dff(&DffParams::default(), &v, rng);
-            let (ckt, probes) = dff(&[60e-12], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            let stores = out.pulse_count(probes.input) == 1 && out.pulse_count(probes.output) == 1;
-            if !stores {
-                return Ok(false);
-            }
-            let (ckt, probes) = dff(&[], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(160e-12)?;
-            Ok(out.pulse_count(probes.output) == 0)
-        }
-        Cell::ClockedAnd => {
-            let p = perturb_and(&AndParams::default(), &v, rng);
-            let (ckt, probes) = clocked_and(&[60e-12], &[60e-12], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(170e-12)?;
-            let fires = out.pulse_count(probes.output) == 1;
-            if !fires {
-                return Ok(false);
-            }
-            let (ckt, probes) = clocked_and(&[60e-12], &[], &[100e-12], &p);
-            let out = Solver::new(ckt, SimOptions::adaptive())?.try_run(170e-12)?;
-            Ok(out.pulse_count(probes.output) == 0)
-        }
+        Cell::Jtl => run_benches(&perturb_jtl(&JtlParams::default(), &v, rng), &JTL_BENCHES),
+        Cell::Dff => run_benches(&perturb_dff(&DffParams::default(), &v, rng), &DFF_BENCHES),
+        Cell::ClockedAnd => run_benches(&perturb_and(&AndParams::default(), &v, rng), &AND_BENCHES),
     }
 }
 
@@ -257,8 +315,7 @@ fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -
         // attempt — so a retry reruns the identical computation. The
         // budget exists for injected and environmental failures; a
         // deterministic solver error will simply exhaust it.
-        let mut rng = SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), idx as u64]);
-        match probe_cell(cell, sigma, &mut rng) {
+        match probe_cell(cell, sigma, &mut sample_rng(seed, cell, sigma, idx)) {
             Ok(true) => return Outcome::Pass,
             Ok(false) => return Outcome::Fail,
             Err(_) => {}
@@ -267,23 +324,55 @@ fn run_sample(cell: Cell, sigma: f64, seed: u64, idx: usize, opts: &McOptions) -
     Outcome::NonConvergent
 }
 
-/// Batched transient for one phase of a group's testbenches: `None`
-/// when the batch could not even be constructed (e.g. a perturbed
-/// instance fails validation — rare, handled by the scalar path),
-/// otherwise per-instance results where an `Err` lane already fell
-/// back to the scalar golden path inside
-/// [`BatchedTransient::try_run`].
-fn batch_phase(ckts: Vec<Circuit>, t_end: f64) -> Option<Vec<Result<SimResult, SimError>>> {
-    let batch = BatchedTransient::new(ckts, SimOptions::adaptive()).ok()?;
-    Some(batch.try_run(t_end))
+/// Batched verdicts of one lane group: each bench runs as one
+/// [`BatchedTransient`] over the lanes that passed every earlier bench,
+/// in lane order. A lane whose transient errs (the batch already tried
+/// it on the scalar golden path) is re-run through `scalar`, so its
+/// retry accounting and final [`Outcome`] match the scalar path
+/// exactly. `None` when a batch cannot even be built (e.g. a perturbed
+/// instance fails validation): the group then takes the per-sample
+/// scalar path.
+fn batched_verdicts<P, Q>(
+    idxs: &[usize],
+    ps: &[P],
+    benches: &[Bench<P, Q>],
+    scalar: impl Fn(usize) -> Outcome,
+) -> Option<Vec<Outcome>> {
+    let mut verdict: Vec<Option<Outcome>> = vec![None; idxs.len()];
+    let mut alive: Vec<usize> = (0..idxs.len()).collect();
+    for b in benches {
+        if alive.is_empty() {
+            break;
+        }
+        let mut probes = None;
+        let ckts: Vec<Circuit> = alive
+            .iter()
+            .map(|&slot| {
+                let (c, q) = (b.build)(&ps[slot]);
+                probes = Some(q);
+                c
+            })
+            .collect();
+        let probes = probes?;
+        let batch = BatchedTransient::new(ckts, SimOptions::adaptive()).ok()?;
+        let mut next = Vec::with_capacity(alive.len());
+        for (&slot, r) in alive.iter().zip(batch.try_run(b.t_end)) {
+            match r {
+                Ok(out) if (b.passed)(&out, &probes) => next.push(slot),
+                Ok(_) => verdict[slot] = Some(Outcome::Fail),
+                Err(_) => verdict[slot] = Some(scalar(idxs[slot])),
+            }
+        }
+        alive = next;
+    }
+    for slot in alive {
+        verdict[slot] = Some(Outcome::Pass);
+    }
+    verdict.into_iter().collect()
 }
 
-/// Batched verdicts for a lane group of samples without injections.
-/// Returns `None` when the group has to take the per-sample scalar
-/// path instead (batch construction failed). Individual erroring
-/// samples are re-run through [`run_sample`] so the retry accounting
-/// and final [`Outcome`] match the scalar path exactly.
-#[allow(clippy::too_many_lines)]
+/// Batched verdicts for a lane group of samples without injections
+/// (see [`batched_verdicts`]).
 fn probe_group_batched(
     cell: Cell,
     sigma: f64,
@@ -292,159 +381,26 @@ fn probe_group_batched(
     opts: &McOptions,
 ) -> Option<Vec<Outcome>> {
     let v = Variation::uniform(sigma);
-    let rng_for = |i: usize| SplitMix64::substream(seed, &[cell.tag(), sigma.to_bits(), i as u64]);
+    let rngs = idxs.iter().map(|&i| sample_rng(seed, cell, sigma, i));
     let scalar = |i: usize| run_sample(cell, sigma, seed, i, opts);
     match cell {
         Cell::Jtl => {
-            let ps: Vec<JtlParams> = idxs
-                .iter()
-                .map(|&i| perturb_jtl(&JtlParams::default(), &v, &mut rng_for(i)))
+            let ps: Vec<JtlParams> = rngs
+                .map(|mut r| perturb_jtl(&JtlParams::default(), &v, &mut r))
                 .collect();
-            let mut stages = Vec::new();
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, s) = jtl_chain(4, p);
-                    stages = s;
-                    c
-                })
-                .collect();
-            let runs = batch_phase(ckts, 200e-12)?;
-            Some(
-                idxs.iter()
-                    .zip(runs)
-                    .map(|(&i, r)| match r {
-                        Ok(out) => {
-                            if stages.iter().all(|j| out.pulse_count(*j) == 1) {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(i),
-                    })
-                    .collect(),
-            )
+            batched_verdicts(idxs, &ps, &JTL_BENCHES, scalar)
         }
         Cell::Dff => {
-            let ps: Vec<DffParams> = idxs
-                .iter()
-                .map(|&i| perturb_dff(&DffParams::default(), &v, &mut rng_for(i)))
+            let ps: Vec<DffParams> = rngs
+                .map(|mut r| perturb_dff(&DffParams::default(), &v, &mut r))
                 .collect();
-            let mut probes = None;
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, pr) = dff(&[60e-12], &[100e-12], p);
-                    probes = Some(pr);
-                    c
-                })
-                .collect();
-            let probes = probes?;
-            let runs = batch_phase(ckts, 160e-12)?;
-            // Samples that store correctly advance to the silent-clock
-            // bench; the rest already have their verdict.
-            let mut verdict: Vec<Option<Outcome>> = Vec::with_capacity(idxs.len());
-            let mut second: Vec<usize> = Vec::new();
-            for (slot, (&i, r)) in idxs.iter().zip(runs).enumerate() {
-                match r {
-                    Ok(out) => {
-                        let stores = out.pulse_count(probes.input) == 1
-                            && out.pulse_count(probes.output) == 1;
-                        if stores {
-                            verdict.push(None);
-                            second.push(slot);
-                        } else {
-                            verdict.push(Some(Outcome::Fail));
-                        }
-                    }
-                    Err(_) => verdict.push(Some(scalar(i))),
-                }
-            }
-            if !second.is_empty() {
-                let mut probes2 = None;
-                let ckts2: Vec<Circuit> = second
-                    .iter()
-                    .map(|&slot| {
-                        let (c, pr) = dff(&[], &[100e-12], &ps[slot]);
-                        probes2 = Some(pr);
-                        c
-                    })
-                    .collect();
-                let probes2 = probes2?;
-                let runs2 = batch_phase(ckts2, 160e-12)?;
-                for (&slot, r) in second.iter().zip(runs2) {
-                    verdict[slot] = Some(match r {
-                        Ok(out) => {
-                            if out.pulse_count(probes2.output) == 0 {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(idxs[slot]),
-                    });
-                }
-            }
-            verdict.into_iter().collect()
+            batched_verdicts(idxs, &ps, &DFF_BENCHES, scalar)
         }
         Cell::ClockedAnd => {
-            let ps: Vec<AndParams> = idxs
-                .iter()
-                .map(|&i| perturb_and(&AndParams::default(), &v, &mut rng_for(i)))
+            let ps: Vec<AndParams> = rngs
+                .map(|mut r| perturb_and(&AndParams::default(), &v, &mut r))
                 .collect();
-            let mut probes = None;
-            let ckts: Vec<Circuit> = ps
-                .iter()
-                .map(|p| {
-                    let (c, pr) = clocked_and(&[60e-12], &[60e-12], &[100e-12], p);
-                    probes = Some(pr);
-                    c
-                })
-                .collect();
-            let probes = probes?;
-            let runs = batch_phase(ckts, 170e-12)?;
-            let mut verdict: Vec<Option<Outcome>> = Vec::with_capacity(idxs.len());
-            let mut second: Vec<usize> = Vec::new();
-            for (slot, (&i, r)) in idxs.iter().zip(runs).enumerate() {
-                match r {
-                    Ok(out) => {
-                        if out.pulse_count(probes.output) == 1 {
-                            verdict.push(None);
-                            second.push(slot);
-                        } else {
-                            verdict.push(Some(Outcome::Fail));
-                        }
-                    }
-                    Err(_) => verdict.push(Some(scalar(i))),
-                }
-            }
-            if !second.is_empty() {
-                let mut probes2 = None;
-                let ckts2: Vec<Circuit> = second
-                    .iter()
-                    .map(|&slot| {
-                        let (c, pr) = clocked_and(&[60e-12], &[], &[100e-12], &ps[slot]);
-                        probes2 = Some(pr);
-                        c
-                    })
-                    .collect();
-                let probes2 = probes2?;
-                let runs2 = batch_phase(ckts2, 170e-12)?;
-                for (&slot, r) in second.iter().zip(runs2) {
-                    verdict[slot] = Some(match r {
-                        Ok(out) => {
-                            if out.pulse_count(probes2.output) == 0 {
-                                Outcome::Pass
-                            } else {
-                                Outcome::Fail
-                            }
-                        }
-                        Err(_) => scalar(idxs[slot]),
-                    });
-                }
-            }
-            verdict.into_iter().collect()
+            batched_verdicts(idxs, &ps, &AND_BENCHES, scalar)
         }
     }
 }
@@ -552,6 +508,90 @@ fn write_checkpoint(
     Ok(())
 }
 
+/// Advance every σ of `sigmas` to `opts.samples` outcomes, round by
+/// round: each round gives every σ whose prefix is still short its next
+/// chunk, `[len, min(len + chunk, n))`, cut into lane groups, and runs
+/// all (σ, group) tasks of the round in **one** `par_map_deadline`
+/// region; then every σ that advanced persists its prefix to
+/// `paths[k]`. Every checkpoint is loaded before any work, so a
+/// foreign one fails the call before any σ runs.
+fn run_rounds(
+    cell: Cell,
+    sigmas: &[f64],
+    paths: &[Option<PathBuf>],
+    seed: u64,
+    opts: &McOptions,
+) -> Result<Vec<Vec<Outcome>>, FaultError> {
+    if opts.checkpoint_every > 0 && opts.checkpoint_path.is_none() {
+        return Err(FaultError::InvalidOptions {
+            what: "checkpoint_every > 0 requires checkpoint_path",
+        });
+    }
+    let n = opts.samples as usize;
+    let mut runs: Vec<Vec<Outcome>> = sigmas
+        .iter()
+        .zip(paths)
+        .map(|(&sigma, path)| match (path, opts.resume) {
+            (Some(p), true) => load_checkpoint(p, cell, sigma, seed, opts.samples),
+            _ => Ok(Vec::new()),
+        })
+        .collect::<Result<_, _>>()?;
+
+    let chunk = if opts.checkpoint_every == 0 {
+        n.max(1)
+    } else {
+        opts.checkpoint_every as usize
+    };
+    let width = jjsim::batch_width();
+    let unlimited = sfq_guard::RunBudget::unlimited();
+    loop {
+        let pending: Vec<usize> = (0..runs.len()).filter(|&k| runs[k].len() < n).collect();
+        if pending.is_empty() {
+            return Ok(runs);
+        }
+        // Lane groups keyed on the *absolute* sample index, so a
+        // resumed run regroups exactly like an uninterrupted one. With
+        // batching off every group is one sample, which `run_group`
+        // sends down the per-sample scalar path.
+        let tasks: Vec<(usize, Vec<usize>)> = pending
+            .iter()
+            .flat_map(|&k| {
+                let start = runs[k].len();
+                sfq_par::lane_groups(start, (start + chunk).min(n), width)
+                    .into_iter()
+                    .map(move |g| (k, g.collect()))
+            })
+            .collect();
+        let per_group = sfq_par::par_map_deadline(&tasks, &unlimited, |(k, g)| {
+            run_group(cell, sigmas[*k], seed, g, opts)
+        });
+        let counters = sfq_obs::enabled().then(mc_counters);
+        for ((k, g), r) in tasks.iter().zip(per_group) {
+            let outcomes = match r {
+                TaskOutcome::Completed(outs) => outs,
+                // A panic in the group *bookkeeping* (the probes
+                // themselves are already contained): redo this group
+                // sample-by-sample with panic isolation.
+                _ => scalar_group(cell, sigmas[*k], seed, g, opts),
+            };
+            if let Some(c) = counters {
+                c[0].add(outcomes.len() as u64);
+                for &o in &outcomes {
+                    c[1 + o as usize].inc();
+                }
+            }
+            runs[*k].extend(outcomes);
+        }
+        if opts.checkpoint_every > 0 {
+            for &k in &pending {
+                if let Some(p) = &paths[k] {
+                    write_checkpoint(p, cell, sigmas[k], seed, opts.samples, &runs[k])?;
+                }
+            }
+        }
+    }
+}
+
 /// Raw per-sample outcomes of one Monte-Carlo run (the basis of
 /// [`estimate_yield`]; exposed so tests and the interrupted-resume
 /// demo can compare runs sample-by-sample).
@@ -566,74 +606,31 @@ pub fn run_outcomes(
     seed: u64,
     opts: &McOptions,
 ) -> Result<Vec<Outcome>, FaultError> {
-    if opts.checkpoint_every > 0 && opts.checkpoint_path.is_none() {
-        return Err(FaultError::InvalidOptions {
-            what: "checkpoint_every > 0 requires checkpoint_path",
-        });
-    }
-    let n = opts.samples as usize;
-    let mut outcomes: Vec<Outcome> = match (&opts.checkpoint_path, opts.resume) {
-        (Some(p), true) => load_checkpoint(p, cell, sigma, seed, opts.samples)?,
-        _ => Vec::new(),
-    };
-    outcomes.truncate(n);
+    let paths = std::slice::from_ref(&opts.checkpoint_path);
+    let mut runs = run_rounds(cell, &[sigma], paths, seed, opts)?;
+    Ok(runs.pop().unwrap_or_default())
+}
 
-    let chunk = if opts.checkpoint_every == 0 {
-        n.max(1)
-    } else {
-        opts.checkpoint_every as usize
+/// The yield point at one σ from its outcomes.
+fn tally(cell: Cell, sigma: f64, samples: u32, outcomes: &[Outcome]) -> YieldPoint {
+    let mut point = YieldPoint {
+        cell: cell.name().to_owned(),
+        sigma,
+        samples,
+        pass: 0,
+        fail: 0,
+        non_convergent: 0,
+        panicked: 0,
     };
-
-    while outcomes.len() < n {
-        let start = outcomes.len();
-        let end = (start + chunk).min(n);
-        let width = jjsim::batch_width();
-        let results: Vec<Outcome> = if width < 2 {
-            // Batching disabled: the historical per-sample path.
-            let idxs: Vec<usize> = (start..end).collect();
-            scalar_group(cell, sigma, seed, &idxs, opts)
-        } else {
-            // Lane groups keyed on the *absolute* sample index, so a
-            // resumed run regroups exactly like an uninterrupted one.
-            let groups: Vec<Vec<usize>> = sfq_par::lane_groups(start, end, width)
-                .into_iter()
-                .map(|r| r.collect())
-                .collect();
-            let unlimited = sfq_guard::RunBudget::unlimited();
-            let per_group = sfq_par::par_map_deadline(&groups, &unlimited, |g| {
-                run_group(cell, sigma, seed, g, opts)
-            });
-            groups
-                .iter()
-                .zip(per_group)
-                .flat_map(|(g, r)| match r {
-                    TaskOutcome::Completed(outs) => outs,
-                    // A panic in the group *bookkeeping* (the probes
-                    // themselves are already contained): redo this
-                    // group sample-by-sample with panic isolation.
-                    _ => scalar_group(cell, sigma, seed, g, opts),
-                })
-                .collect()
-        };
-        for outcome in results {
-            if sfq_obs::enabled() {
-                sfq_obs::inc("faults.mc.samples");
-                sfq_obs::inc(match outcome {
-                    Outcome::Pass => "faults.mc.pass",
-                    Outcome::Fail => "faults.mc.fail",
-                    Outcome::NonConvergent => "faults.mc.non_convergent",
-                    Outcome::Panicked => "faults.mc.panicked",
-                });
-            }
-            outcomes.push(outcome);
-        }
-        if opts.checkpoint_every > 0 {
-            if let Some(p) = &opts.checkpoint_path {
-                write_checkpoint(p, cell, sigma, seed, opts.samples, &outcomes)?;
-            }
+    for o in outcomes {
+        match o {
+            Outcome::Pass => point.pass += 1,
+            Outcome::Fail => point.fail += 1,
+            Outcome::NonConvergent => point.non_convergent += 1,
+            Outcome::Panicked => point.panicked += 1,
         }
     }
-    Ok(outcomes)
+    point
 }
 
 /// Tally of [`run_outcomes`]: the yield point at one σ.
@@ -648,49 +645,39 @@ pub fn estimate_yield(
     opts: &McOptions,
 ) -> Result<YieldPoint, FaultError> {
     let outcomes = run_outcomes(cell, sigma, seed, opts)?;
-    let mut point = YieldPoint {
-        cell: cell.name().to_owned(),
-        sigma,
-        samples: opts.samples,
-        pass: 0,
-        fail: 0,
-        non_convergent: 0,
-        panicked: 0,
-    };
-    for o in &outcomes {
-        match o {
-            Outcome::Pass => point.pass += 1,
-            Outcome::Fail => point.fail += 1,
-            Outcome::NonConvergent => point.non_convergent += 1,
-            Outcome::Panicked => point.panicked += 1,
-        }
-    }
-    Ok(point)
+    Ok(tally(cell, sigma, opts.samples, &outcomes))
 }
 
-/// Yield curve: one [`YieldPoint`] per σ. When checkpointing is on,
-/// each σ gets its own file (the configured path with the σ bits
-/// appended) so interrupting a sweep loses at most one chunk of one
-/// point.
+/// Yield curve: one [`YieldPoint`] per σ, equal to [`estimate_yield`]
+/// at each σ, with all σ run at once. When checkpointing is on, each σ
+/// gets its own file (the configured path with the σ bits appended),
+/// written round by round across σ, so an interrupted sweep loses at
+/// most one chunk per point.
 ///
 /// # Errors
 ///
-/// Returns the first harness-level [`FaultError`].
+/// Returns the first harness-level [`FaultError`]; a foreign checkpoint
+/// on any σ fails the curve before any σ runs.
 pub fn yield_curve(
     cell: Cell,
     sigmas: &[f64],
     seed: u64,
     opts: &McOptions,
 ) -> Result<Vec<YieldPoint>, FaultError> {
-    let mut points = Vec::with_capacity(sigmas.len());
-    for &sigma in sigmas {
-        let mut per_sigma = opts.clone();
-        if let Some(base) = &opts.checkpoint_path {
-            let mut name = base.as_os_str().to_owned();
-            name.push(format!(".s{:016x}", sigma.to_bits()));
-            per_sigma.checkpoint_path = Some(PathBuf::from(name));
-        }
-        points.push(estimate_yield(cell, sigma, seed, &per_sigma)?);
-    }
-    Ok(points)
+    let paths: Vec<Option<PathBuf>> = sigmas
+        .iter()
+        .map(|sigma| {
+            opts.checkpoint_path.as_ref().map(|base| {
+                let mut name = base.as_os_str().to_owned();
+                name.push(format!(".s{:016x}", sigma.to_bits()));
+                PathBuf::from(name)
+            })
+        })
+        .collect();
+    let runs = run_rounds(cell, sigmas, &paths, seed, opts)?;
+    Ok(sigmas
+        .iter()
+        .zip(runs)
+        .map(|(&sigma, outcomes)| tally(cell, sigma, opts.samples, &outcomes))
+        .collect())
 }

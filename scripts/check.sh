@@ -94,6 +94,18 @@ target/release/bench_batch --smoke --out "$tmp/BENCH_batch.json" >/dev/null
 target/release/bench_compare \
     --baseline "$tmp/BENCH_batch.json" --fresh "$tmp/BENCH_batch.json" >/dev/null
 
+echo "== faults Monte-Carlo identity gate =="
+# bench_faults writes BENCH_faults.json and results/faults/ relative to
+# its cwd, so it runs in the scratch dir with its default knobs. Every
+# tally of every fresh yield curve, and its interrupted-resume check,
+# must equal the committed report; timings are not compared.
+mkdir -p "$tmp/faults"
+(cd "$tmp/faults" && env -u SUPERNPU_FAULT_SEED -u SUPERNPU_FAULT_SAMPLES \
+    -u SUPERNPU_FAULT_RETRIES -u SUPERNPU_FAULT_CHECKPOINT SUPERNPU_LEDGER=0 \
+    "$repo/target/release/bench_faults" >/dev/null)
+target/release/bench_compare \
+    --baseline BENCH_faults.json --fresh "$tmp/faults/BENCH_faults.json" >/dev/null
+
 echo "== batch SIMD codegen check =="
 # The lane LU factor kernel must compile to packed SSE arithmetic on
 # x86_64 release builds — the whole point of the [f64; LANES] layout.
